@@ -19,7 +19,6 @@ from .taxonomy import (
     DomainTaxonomy,
     PathMetrics,
     TaxonomyStore,
-    ancestors,
     con_sim,
     least_common_superconcept,
     load_taxonomy,

@@ -142,11 +142,18 @@ def _selection_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LexselError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
 def _load_store(ns: argparse.Namespace) -> TaxonomyStore:
     if ns.taxonomy:
-        return merge_stores(
-            load_taxonomy(Path(p).read_text(encoding="utf-8")) for p in ns.taxonomy
-        )
+        return merge_stores(load_taxonomy(_read_text(p)) for p in ns.taxonomy)
     return bundled.load_bundled_store()
 
 
@@ -154,7 +161,7 @@ def _load_lexicon(ns: argparse.Namespace, store: TaxonomyStore) -> Lexicon:
     from .lexicon import load_lexicon
 
     if ns.lexicon:
-        return load_lexicon(Path(ns.lexicon).read_text(encoding="utf-8"), store)
+        return load_lexicon(_read_text(ns.lexicon), store)
     return bundled.load_bundled_lexicon(store)
 
 
@@ -164,16 +171,14 @@ def _load_tree(
     if ns.no_tree:
         return None
     if ns.tree:
-        return load_decision_tree(
-            Path(ns.tree).read_text(encoding="utf-8"), store, nominal_domain
-        )
+        return load_decision_tree(_read_text(ns.tree), store, nominal_domain)
     return bundled.load_bundled_tree(store, nominal_domain)
 
 
 def _config(ns: argparse.Namespace) -> SelectionConfig:
     weights = DomainWeights()
     if ns.weights:
-        weights = DomainWeights.from_json(Path(ns.weights).read_text(encoding="utf-8"))
+        weights = DomainWeights.from_json(_read_text(ns.weights))
     if ns.max_candidates < 1:
         raise LexselError(f"--max-candidates must be >= 1, got {ns.max_candidates}")
     if not 0 <= ns.floor <= 1:
@@ -183,7 +188,7 @@ def _config(ns: argparse.Namespace) -> SelectionConfig:
 
 def _load_corpus_file(ns: argparse.Namespace) -> Corpus:
     if ns.corpus:
-        return load_corpus(Path(ns.corpus).read_text(encoding="utf-8"))
+        return load_corpus(_read_text(ns.corpus))
     return load_corpus(bundled.bundled_text(bundled.CORPUS_FILE))
 
 

@@ -104,6 +104,10 @@ def _parse_record(raw: dict, lineno: int, markers: frozenset[str]) -> CorpusReco
     if not isinstance(context_raw, list):
         raise CorpusFormatError(f"{where}: record {rid!r} context must be a list")
     for marker in context_raw:
+        if not isinstance(marker, str):
+            raise CorpusFormatError(
+                f"{where}: record {rid!r} context markers must be strings"
+            )
         if marker not in markers:
             raise CorpusFormatError(
                 f"{where}: record {rid!r} uses undeclared marker {marker!r}"

@@ -291,8 +291,11 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
         if not isinstance(example, str):
             raise LexiconFormatError(f"{where}: example must be a string")
 
+        constraints_raw = raw.get("constraints", [])
+        if not isinstance(constraints_raw, list):
+            raise LexiconFormatError(f"{where}: constraints must be a list")
         constraints = []
-        for c in raw.get("constraints", []):
+        for c in constraints_raw:
             if not isinstance(c, dict):
                 raise LexiconFormatError(f"{where}: constraint must be an object")
             role_raw = _require_str(c, "role", where)

@@ -50,7 +50,7 @@ class ConceptNode:
 def _check_token(token: object, what: str, where: str) -> str:
     if not isinstance(token, str) or not token:
         raise TaxonomyFormatError(f"{where}: {what} must be a non-empty string")
-    if any(ch.isspace() for ch in token):
+    if token.split() != [token]:  # same character set as str.isspace
         raise TaxonomyFormatError(f"{where}: {what} {token!r} contains whitespace")
     if ":" in token:
         raise TaxonomyFormatError(f"{where}: {what} {token!r} contains ':'")
@@ -61,8 +61,10 @@ def _check_token(token: object, what: str, where: str) -> str:
 class DomainTaxonomy:
     """One validated domain: nodes plus precomputed path indices.
 
-    Treat instances as immutable after construction; all query state is
-    derived once in ``build``.
+    Concepts may be listed in any order, parents before or after their
+    children, and the DAG may be of any depth.  Treat instances as
+    immutable after construction; all query state is derived once in
+    ``build``.
     """
 
     domain: str
@@ -87,69 +89,40 @@ class DomainTaxonomy:
                     raise TaxonomyFormatError(
                         f"{where}: concept {node.id.name!r} names missing parent {parent!r}"
                     )
-        cls._check_acyclic(domain, nodes)
-        depth = cls._depths(nodes)
-        up = {name: cls._up_distances(nodes, name) for name in nodes}
-        return cls(domain=domain, nodes=nodes, root=roots[0], depth=depth, up=up)
-
-    @staticmethod
-    def _check_acyclic(domain: str, nodes: dict[str, ConceptNode]) -> None:
-        DONE, IN_PROGRESS = 2, 1
-        state: dict[str, int] = {}
-        for start in nodes:
-            if state.get(start) == DONE:
-                continue
-            stack = [(start, iter(nodes[start].parents))]
-            state[start] = IN_PROGRESS
-            while stack:
-                name, parents = stack[-1]
-                advanced = False
-                for parent in parents:
-                    if state.get(parent) == IN_PROGRESS:
-                        raise TaxonomyFormatError(
-                            f"domain {domain!r}: cycle through concept {parent!r}"
-                        )
-                    if state.get(parent) != DONE:
-                        state[parent] = IN_PROGRESS
-                        stack.append((parent, iter(nodes[parent].parents)))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[name] = DONE
-                    stack.pop()
-
-    @staticmethod
-    def _depths(nodes: dict[str, ConceptNode]) -> dict[str, int]:
         depth: dict[str, int] = {}
-
-        def visit(name: str) -> int:
-            if name in depth:
-                return depth[name]
-            node = nodes[name]
-            if not node.parents:
-                depth[name] = 1
-            else:
-                depth[name] = 1 + max(visit(p) for p in node.parents)
-            return depth[name]
-
-        for name in nodes:
-            visit(name)
-        return depth
-
-    @staticmethod
-    def _up_distances(nodes: dict[str, ConceptNode], start: str) -> dict[str, int]:
-        dist = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt: list[str] = []
-            for name in frontier:
-                d = dist[name] + 1
-                for parent in nodes[name].parents:
-                    if parent not in dist or d < dist[parent]:
-                        dist[parent] = d
-                        nxt.append(parent)
-            frontier = nxt
-        return dist
+        up: dict[str, dict[str, int]] = {}
+        on_path: set[str] = set()  # concepts on the stack, not yet finished
+        # Iterative post-order walk up the parent edges: a concept is
+        # finished once all its parents are, so both indices come from the
+        # parents' finished entries in one pass, with no recursion.
+        for start in nodes:
+            if start in depth:
+                continue
+            on_path.add(start)
+            stack = [(start, iter(nodes[start].parents))]
+            while stack:
+                name, pending = stack[-1]
+                for parent in pending:
+                    if parent in depth:
+                        continue
+                    if parent in on_path:
+                        raise TaxonomyFormatError(f"{where}: cycle through concept {parent!r}")
+                    on_path.add(parent)
+                    stack.append((parent, iter(nodes[parent].parents)))
+                    break
+                else:
+                    stack.pop()
+                    on_path.discard(name)
+                    parents = nodes[name].parents
+                    depth[name] = 1 + max((depth[p] for p in parents), default=0)
+                    dist = {a: d + 1 for a, d in up[parents[0]].items()} if parents else {}
+                    for parent in parents[1:]:
+                        for ancestor, d in up[parent].items():
+                            if d + 1 < dist.get(ancestor, d + 2):
+                                dist[ancestor] = d + 1
+                    dist[name] = 0
+                    up[name] = dist
+        return cls(domain=domain, nodes=nodes, root=roots[0], depth=depth, up=up)
 
     def require(self, name: str) -> ConceptNode:
         try:
@@ -281,19 +254,6 @@ def merge_stores(stores: Iterable[TaxonomyStore]) -> TaxonomyStore:
         if store.note:
             notes.append(store.note)
     return TaxonomyStore(domains=merged, note="; ".join(notes))
-
-
-def ancestors(store: TaxonomyStore, concept: ConceptId) -> list[ConceptId]:
-    """The concept itself plus all its ancestors.
-
-    Ordered by increasing edge distance, then by concept name, so the
-    result is deterministic on diamond-shaped regions.
-    """
-    dom = store.domain(concept.domain)
-    dom.require(concept.name)
-    dist = dom.up[concept.name]
-    names = sorted(dist, key=lambda n: (dist[n], n))
-    return [ConceptId(concept.domain, n) for n in names]
 
 
 def least_common_superconcept(

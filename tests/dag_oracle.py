@@ -1,8 +1,8 @@
 """Brute-force reference for path-based concept similarity.
 
 Enumerates every upward path explicitly, so it shares no code with the
-engine's BFS/DP implementation.  Used by the taxonomy tests and the
-acceptance suite to cross-check random DAGs.
+engine's one-pass index build in ``DomainTaxonomy.build``.  Used by the
+taxonomy tests and the acceptance suite to cross-check random DAGs.
 """
 
 from __future__ import annotations

@@ -198,6 +198,17 @@ class TestEval:
         code, _ = run(capsys, "eval", "--corpus", "/no/such/file.jsonl")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag", ["--taxonomy", "--lexicon", "--tree", "--weights", "--corpus"]
+    )
+    def test_non_utf8_data_file_exits_2(self, capsys, tmp_path, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff")
+        code = main(["eval", flag, str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "not UTF-8" in err and str(bad) in err
+
 
 class TestFreq:
     def test_bundled_default_corpus(self, capsys):

@@ -99,6 +99,11 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="undeclared marker"):
             load_corpus(lines(record))
 
+    def test_rejects_unhashable_marker(self):
+        record = dict(RECORD, context=[{"marker": "into-pieces"}])
+        with pytest.raises(CorpusFormatError, match="line 2: record 'r1' context markers"):
+            load_corpus(lines({"markers": ["into-pieces"]}, record))
+
     def test_rejects_duplicate_ids(self):
         with pytest.raises(CorpusFormatError, match="duplicate record id"):
             load_corpus(lines(RECORD, RECORD))

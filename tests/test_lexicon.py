@@ -310,6 +310,10 @@ class TestLoaderValidation:
         with pytest.raises(LexiconFormatError, match="unknown nominal concept"):
             self.load_one(store, constraints=constraints)
 
+    def test_rejects_non_list_constraints(self, store):
+        with pytest.raises(LexiconFormatError, match="sense 'T-1': constraints must be a list"):
+            self.load_one(store, constraints=1.5)
+
     def test_rejects_bad_constraint_role(self, store):
         constraints = [{"role": "E7", "concept": "vase"}]
         with pytest.raises(LexiconFormatError, match="bad constraint role"):

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from dag_oracle import (
     as_taxonomy_doc,
     oracle_con_sim,
+    oracle_depth,
     oracle_lcs,
+    oracle_up_distances,
     random_rooted_dag,
 )
 from lexsel import (
@@ -19,7 +21,6 @@ from lexsel import (
     CrossDomainError,
     TaxonomyFormatError,
     UnknownConceptError,
-    ancestors,
     con_sim,
     least_common_superconcept,
     load_taxonomy,
@@ -115,17 +116,45 @@ class TestPathMetrics:
         assert m.lcs.name == "B"  # same depth and path sum; smaller name wins
 
 
-class TestAncestors:
-    def test_diamond_order(self):
+class TestBuild:
+    def test_diamond_up_distances(self):
         parents = {"root": (), "A": ("root",), "B": ("root",), "C": ("A", "B")}
-        store = store_from(parents)
-        names = [c.name for c in ancestors(store, small_id("C"))]
-        assert names == ["C", "A", "B", "root"]
+        dom = store_from(parents).domain("synthetic")
+        assert dom.up["C"] == {"C": 0, "A": 1, "B": 1, "root": 2}
+        assert dom.depth == {"root": 1, "A": 2, "B": 2, "C": 3}
 
-    def test_unknown_concept(self):
-        store = store_from(SMALL)
-        with pytest.raises(UnknownConceptError):
-            ancestors(store, small_id("missing"))
+    @pytest.mark.parametrize("child_first", [False, True])
+    def test_deep_chain_in_either_order(self, child_first):
+        length = 5000
+        parents = {"c0": ()}
+        for i in range(1, length):
+            parents[f"c{i}"] = (f"c{i - 1}",)
+        if child_first:
+            parents = dict(reversed(parents.items()))
+        dom = store_from(parents).domain("synthetic")
+        leaf = f"c{length - 1}"
+        assert dom.depth[leaf] == length
+        assert dom.up[leaf] == {f"c{i}": length - 1 - i for i in range(length)}
+
+    @pytest.mark.parametrize(
+        "parents",
+        [
+            {"root": (), "A": ("root", "B"), "B": ("A",)},
+            {"root": (), "A": ("B",), "B": ("C",), "C": ("A", "root")},
+            {"root": (), "A": ("A", "root")},
+        ],
+    )
+    def test_rejects_cycle_in_any_listing_order(self, parents):
+        for seed in range(6):
+            order = list(parents)
+            random.Random(seed).shuffle(order)
+            with pytest.raises(TaxonomyFormatError, match="cycle through concept"):
+                store_from({name: parents[name] for name in order})
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\x1c", "\t"])
+    def test_rejects_whitespace_in_concept_id(self, space):
+        with pytest.raises(TaxonomyFormatError, match="whitespace"):
+            store_from({"root": (), f"a{space}b": ("root",)})
 
 
 class TestNeighborhood:
@@ -271,6 +300,11 @@ class TestIsA:
         with pytest.raises(CrossDomainError):
             store.is_a(ConceptId("one", "B"), ConceptId("two", "B"))
 
+    def test_unknown_concept(self):
+        store = store_from(SMALL)
+        with pytest.raises(UnknownConceptError):
+            store.is_a(small_id("missing"), small_id("root"))
+
 
 def check_against_oracle(seed: int, pairs: int = 10) -> None:
     rng = random.Random(seed)
@@ -290,10 +324,26 @@ def check_against_oracle(seed: int, pairs: int = 10) -> None:
         assert con_sim(store, small_id(a), small_id(b)) == oracle_con_sim(parents, a, b)
 
 
+def check_indices_against_oracle(seed: int) -> None:
+    """Every node's depth and up-distances, with concepts listed shuffled."""
+    rng = random.Random(seed)
+    parents = random_rooted_dag(rng)
+    order = list(parents)
+    rng.shuffle(order)
+    dom = store_from({name: parents[name] for name in order}).domain("synthetic")
+    for name in parents:
+        assert dom.depth[name] == oracle_depth(parents, name), f"seed={seed} node={name}"
+        assert dom.up[name] == oracle_up_distances(parents, name), f"seed={seed} node={name}"
+
+
 class TestAgainstBruteForce:
     def test_seeded_random_dags(self):
         for seed in range(150):
             check_against_oracle(seed)
+
+    def test_shuffled_random_dag_indices(self):
+        for seed in range(150):
+            check_indices_against_oracle(seed)
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=60, deadline=None)
