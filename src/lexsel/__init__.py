@@ -36,9 +36,7 @@ from .lexicon import (
     SlotStatus,
     VerbSense,
     build_inter_rep,
-    disambiguate,
     load_lexicon,
-    realizations,
     resolve_mention,
 )
 from .matcher import (
@@ -47,11 +45,9 @@ from .matcher import (
     DomainWeights,
     MatchScore,
     candidate_slots,
-    compare,
     constraint_degrees,
     constraint_satisfaction,
     inexact_match,
-    word_sim,
     word_sim_breakdown,
 )
 from .selector import (
@@ -60,10 +56,10 @@ from .selector import (
     SelectionResult,
     Translation,
     decide_action,
+    disambiguate,
     load_decision_tree,
     rank_candidates,
     rerank_by_action,
-    select_target,
     translate,
 )
 from .corpus import (

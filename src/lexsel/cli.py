@@ -29,8 +29,8 @@ from .corpus import (
     to_argument_structure,
 )
 from .errors import LexselError, VocabularyGapError
-from .lexicon import ArgumentStructure, Lexicon, Role, resolve_mention
-from .matcher import DomainWeights, candidate_slots, constraint_degrees, word_sim_breakdown
+from .lexicon import ArgumentStructure, Lexicon, Role, load_lexicon, resolve_mention
+from .matcher import DomainWeights
 from .selector import (
     DecisionTree,
     SelectionConfig,
@@ -158,8 +158,6 @@ def _load_store(ns: argparse.Namespace) -> TaxonomyStore:
 
 
 def _load_lexicon(ns: argparse.Namespace, store: TaxonomyStore) -> Lexicon:
-    from .lexicon import load_lexicon
-
     if ns.lexicon:
         return load_lexicon(_read_text(ns.lexicon), store)
     return bundled.load_bundled_lexicon(store)
@@ -179,10 +177,6 @@ def _config(ns: argparse.Namespace) -> SelectionConfig:
     weights = DomainWeights()
     if ns.weights:
         weights = DomainWeights.from_json(_read_text(ns.weights))
-    if ns.max_candidates < 1:
-        raise LexselError(f"--max-candidates must be >= 1, got {ns.max_candidates}")
-    if not 0 <= ns.floor <= 1:
-        raise LexselError(f"--floor must be within [0, 1], got {ns.floor}")
     return SelectionConfig(floor=ns.floor, max_candidates=ns.max_candidates, weights=weights)
 
 
@@ -266,13 +260,7 @@ def _translation_payload(result: Translation, lexicon: Lexicon) -> dict:
     }
 
 
-def _print_explanation(
-    result: Translation,
-    lexicon: Lexicon,
-    store: TaxonomyStore,
-    args: ArgumentStructure,
-    config: SelectionConfig,
-) -> None:
+def _print_explanation(result: Translation, lexicon: Lexicon) -> None:
     print(f"source sense: {result.source_sense} ({lexicon.senses[result.source_sense].gloss})")
     print("clause meaning: " + "; ".join(s.render() for s in result.inter_rep.slots))
     if result.decided_action is None:
@@ -283,19 +271,14 @@ def _print_explanation(
         sense = lexicon.senses[r.sense_id]
         print(f"candidate {sense.lexeme} [{r.sense_id}] via {r.via_concept.name} "
               f"(neighborhood {_fmt(r.neighborhood_sim)})")
-        _, parts = word_sim_breakdown(
-            result.inter_rep.slots, candidate_slots(result.inter_rep, sense),
-            config.weights, store,
-        )
-        for part in parts:
+        for part in r.score.domains:
             left = "-" if part.left is None else part.left.name
             right = "-" if part.right is None else part.right.name
             print(f"  domain {part.domain}: weight {part.weight}  "
                   f"sim {_fmt(part.similarity)}  [{left} vs {right}]")
-        degrees = constraint_degrees(sense, args, store)
-        if not degrees:
+        if not r.score.constraints:
             print("  no constraints: constraint score 1")
-        for d in degrees:
+        for d in r.score.constraints:
             bound = "unbound" if d.bound_to is None else d.bound_to.name
             print(f"  constraint (is-a {d.constraint.concept.name} {d.constraint.role}): "
                   f"{_fmt(d.degree)}  [{bound}]")
@@ -319,7 +302,7 @@ def cmd_select(ns: argparse.Namespace) -> int:
     else:
         print(f"translation: {result.lexeme} ({result.gloss})")
         if ns.explain:
-            _print_explanation(result, lexicon, store, args, config)
+            _print_explanation(result, lexicon)
         else:
             for i, r in enumerate(result.ranking, start=1):
                 print(f"{i}. {lexicon.senses[r.sense_id].lexeme:<12} "

@@ -9,12 +9,11 @@ context markers; records may only use declared markers.  Each record is
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import CorpusFormatError, VocabularyGapError
+from .errors import CorpusFormatError, VocabularyGapError, parse_json
 from .lexicon import ArgumentStructure, Lexicon, Role, resolve_mention
 from .selector import DecisionTree, SelectionConfig, translate
 from .taxonomy import TaxonomyStore
@@ -47,10 +46,7 @@ def load_corpus(text: str) -> Corpus:
         line = raw_line.strip()
         if not line:
             continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"line {lineno}: not valid JSON: {exc}") from None
+        raw = parse_json(line, CorpusFormatError, f"line {lineno}")
         if not isinstance(raw, dict):
             raise CorpusFormatError(f"line {lineno}: record must be an object")
         if first_content_line and "source_lexeme" not in raw and "id" not in raw:

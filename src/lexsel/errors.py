@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one JSON reader.
 
 Every error raised on bad input data names the offending object (domain,
 concept, sense, record line) so callers can report it without digging.
 """
+
+import json
 
 
 class LexselError(Exception):
@@ -47,3 +49,14 @@ class CorpusFormatError(LexselError):
 
 class VocabularyGapError(LexselError):
     """No target realization exists within the neighborhood floor."""
+
+
+def parse_json(text: str, error: type[LexselError], what: str) -> object:
+    """``json.loads``, raising ``error`` on bad or too deeply nested text."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        reason = str(exc)
+    except RecursionError:
+        reason = "nested too deeply"
+    raise error(f"{what} is not valid JSON: {reason}")

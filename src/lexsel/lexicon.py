@@ -15,7 +15,6 @@ placeholders are stored but carry no selection force.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,6 +25,7 @@ from .errors import (
     UnboundRoleError,
     UnknownConceptError,
     UnknownLexemeError,
+    parse_json,
 )
 from .taxonomy import ConceptId, TaxonomyStore
 
@@ -52,6 +52,7 @@ VARIABLE_PLACEHOLDERS = frozenset({"@t0", "@l0", "@l1", "@l2"})
 EVENT_TOKEN = "*"
 UNSPECIFIED_TOKEN = "@"
 _ROLE_NAMES = frozenset(r.value for r in Role)
+_ARG_TOKENS = _ROLE_NAMES | VARIABLE_PLACEHOLDERS | {EVENT_TOKEN, UNSPECIFIED_TOKEN}
 _MENTION_SUFFIX = re.compile(r"-\d+$")
 
 
@@ -176,39 +177,6 @@ class Lexicon:
     def realization_ids(self, concept: ConceptId) -> tuple[str, ...]:
         return self._index.get(concept, ())
 
-    def to_document(self) -> dict:
-        """Serializable form; ``load_lexicon`` round-trips it."""
-        senses = []
-        for sense in self.senses.values():
-            senses.append(
-                {
-                    "sense_id": sense.sense_id,
-                    "lexeme": sense.lexeme,
-                    "language": sense.language,
-                    "gloss": sense.gloss,
-                    "example": sense.example,
-                    "constraints": [
-                        {"role": c.role.value, "concept": c.concept.name}
-                        for c in sense.constraints
-                    ],
-                    "projection": [
-                        {
-                            "domain": s.domain,
-                            "status": s.status.value,
-                            **({} if s.concept is None else {"concept": s.concept.name}),
-                            "args": list(s.args),
-                        }
-                        for s in sense.projection
-                    ],
-                }
-            )
-        return {"nominal_domain": self.nominal_domain, "senses": senses}
-
-
-def realizations(lexicon: Lexicon, concept: ConceptId) -> list[VerbSense]:
-    """Target senses whose OBL slots name this concept, by sense_id."""
-    return [lexicon.senses[i] for i in lexicon.realization_ids(concept)]
-
 
 def _require_str(raw: dict, key: str, where: str) -> str:
     value = raw.get(key)
@@ -245,24 +213,15 @@ def _parse_slot(raw: dict, store: TaxonomyStore, where: str) -> ProjectionSlot:
     args_raw = raw.get("args", [])
     if not isinstance(args_raw, list):
         raise LexiconFormatError(f"{where}: slot args must be a list")
-    args = []
     for tok in args_raw:
-        if tok in _ROLE_NAMES or tok in VARIABLE_PLACEHOLDERS or tok in (
-            EVENT_TOKEN,
-            UNSPECIFIED_TOKEN,
-        ):
-            args.append(tok)
-        else:
+        if not isinstance(tok, str) or tok not in _ARG_TOKENS:
             raise LexiconFormatError(f"{where}: bad argument token {tok!r}")
-    return ProjectionSlot(domain=domain, status=status, concept=concept, args=tuple(args))
+    return ProjectionSlot(domain=domain, status=status, concept=concept, args=tuple(args_raw))
 
 
 def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
     """Parse and validate a lexicon document against a taxonomy store."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LexiconFormatError(f"lexicon document is not valid JSON: {exc}") from None
+    doc = parse_json(text, LexiconFormatError, "lexicon document")
     if not isinstance(doc, dict):
         raise LexiconFormatError("lexicon document must be an object")
     nominal = doc.get("nominal_domain")
@@ -337,26 +296,6 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
             )
         )
     return Lexicon(nominal_domain=nominal, senses=senses)
-
-
-def disambiguate(
-    lexicon: Lexicon, args: ArgumentStructure, store: TaxonomyStore
-) -> VerbSense:
-    """Pick the source sense whose constraints fit the arguments best.
-
-    Degrees are exact rationals; ties keep the sense that appears first in
-    the lexicon document.
-    """
-    from .matcher import constraint_satisfaction  # local import avoids a cycle
-
-    candidates = lexicon.source_senses(args.source_lexeme)
-    best = candidates[0]
-    best_score = constraint_satisfaction(best, args, store)
-    for sense in candidates[1:]:
-        score = constraint_satisfaction(sense, args, store)
-        if score > best_score:
-            best, best_score = sense, score
-    return best
 
 
 def _substitute(slot: ProjectionSlot, args: ArgumentStructure) -> Optional[tuple[str, ...]]:

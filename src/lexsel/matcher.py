@@ -13,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import total_ordering
 from typing import Iterable, Mapping, Optional, Sequence
 
-import json
-
-from .errors import MatcherError
+from .errors import MatcherError, parse_json
 from .lexicon import (
     ArgumentStructure,
     InterRep,
@@ -60,10 +57,7 @@ class DomainWeights:
 
     @classmethod
     def from_json(cls, text: str) -> "DomainWeights":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MatcherError(f"weights document is not valid JSON: {exc}") from None
+        doc = parse_json(text, MatcherError, "weights document")
         if not isinstance(doc, dict):
             raise MatcherError("weights document must map domain names to numbers")
         default = _as_fraction(doc.pop("default", 1), "weights document")
@@ -71,28 +65,6 @@ class DomainWeights:
             name: _as_fraction(value, f"domain {name!r}") for name, value in doc.items()
         }
         return cls(weights=weights, default_weight=default)
-
-
-@total_ordering
-@dataclass(frozen=True)
-class MatchScore:
-    """Lexicographic pair: concept similarity first, then constraint fit."""
-
-    concept_score: Fraction
-    constraint_score: Fraction
-
-    def _key(self) -> tuple[Fraction, Fraction]:
-        return (self.concept_score, self.constraint_score)
-
-    def __lt__(self, other: "MatchScore") -> bool:
-        return self._key() < other._key()
-
-
-def compare(x: MatchScore, y: MatchScore) -> int:
-    """1 if x ranks ahead of y, -1 if behind, 0 if exactly equal."""
-    if x._key() == y._key():
-        return 0
-    return 1 if x._key() > y._key() else -1
 
 
 def _by_domain(slots: Iterable[ProjectionSlot]) -> dict[str, ConceptId]:
@@ -104,7 +76,7 @@ def _by_domain(slots: Iterable[ProjectionSlot]) -> dict[str, ConceptId]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DomainContribution:
     domain: str
     weight: Fraction  # normalized share of the total
@@ -118,12 +90,12 @@ def word_sim_breakdown(
     b: Sequence[ProjectionSlot],
     weights: DomainWeights,
     store: TaxonomyStore,
-) -> tuple[Fraction, list[DomainContribution]]:
+) -> tuple[Fraction, tuple[DomainContribution, ...]]:
     """Weighted per-domain similarity over the union of both domain sets."""
     left, right = _by_domain(a), _by_domain(b)
     union = sorted(left.keys() | right.keys())
     if not union:
-        return Fraction(0), []
+        return Fraction(0), ()
     total = sum((weights.weight(d) for d in union), Fraction(0))
     if total == 0:
         raise MatcherError(
@@ -139,20 +111,10 @@ def word_sim_breakdown(
         parts.append(
             DomainContribution(domain=domain, weight=share, similarity=sim, left=ca, right=cb)
         )
-    return score, parts
+    return score, tuple(parts)
 
 
-def word_sim(
-    a: Sequence[ProjectionSlot],
-    b: Sequence[ProjectionSlot],
-    weights: DomainWeights,
-    store: TaxonomyStore,
-) -> Fraction:
-    score, _ = word_sim_breakdown(a, b, weights, store)
-    return score
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintDegree:
     constraint: SelectionConstraint
     degree: Fraction
@@ -161,7 +123,7 @@ class ConstraintDegree:
 
 def constraint_degrees(
     sense: VerbSense, args: ArgumentStructure, store: TaxonomyStore
-) -> list[ConstraintDegree]:
+) -> tuple[ConstraintDegree, ...]:
     """Per-constraint fit: 1 on subsumption, graded similarity otherwise.
 
     A constraint whose role is unbound contributes 0.
@@ -176,17 +138,28 @@ def constraint_degrees(
         else:
             degree = con_sim(store, binding.concept, constraint.concept)
             out.append(ConstraintDegree(constraint, degree, binding.concept))
-    return out
+    return tuple(out)
 
 
-def constraint_satisfaction(
-    sense: VerbSense, args: ArgumentStructure, store: TaxonomyStore
-) -> Fraction:
+def constraint_satisfaction(degrees: Sequence[ConstraintDegree]) -> Fraction:
     """Arithmetic mean of per-constraint degrees; 1 when unconstrained."""
-    degrees = constraint_degrees(sense, args, store)
     if not degrees:
         return Fraction(1)
     return sum((d.degree for d in degrees), Fraction(0)) / len(degrees)
+
+
+@dataclass(frozen=True, order=True)
+class MatchScore:
+    """Lexicographic pair: concept similarity first, then constraint fit.
+
+    ``domains`` and ``constraints`` are the parts the two scores were
+    computed from; they take no part in equality or ordering.
+    """
+
+    concept_score: Fraction
+    constraint_score: Fraction
+    domains: tuple[DomainContribution, ...] = field(default=(), compare=False)
+    constraints: tuple[ConstraintDegree, ...] = field(default=(), compare=False)
 
 
 def candidate_slots(inter_rep: InterRep, candidate: VerbSense) -> list[ProjectionSlot]:
@@ -214,10 +187,17 @@ def inexact_match(
     weights: DomainWeights,
     store: TaxonomyStore,
 ) -> MatchScore:
-    """Score a target sense against a clause meaning.
+    """Score a target sense against a clause meaning, keeping the parts.
 
     Pure: no store or lexicon state is touched.
     """
-    concept = word_sim(inter_rep.slots, candidate_slots(inter_rep, candidate), weights, store)
-    constraint = constraint_satisfaction(candidate, args, store)
-    return MatchScore(concept_score=concept, constraint_score=constraint)
+    concept, domains = word_sim_breakdown(
+        inter_rep.slots, candidate_slots(inter_rep, candidate), weights, store
+    )
+    degrees = constraint_degrees(candidate, args, store)
+    return MatchScore(
+        concept_score=concept,
+        constraint_score=constraint_satisfaction(degrees),
+        domains=domains,
+        constraints=degrees,
+    )

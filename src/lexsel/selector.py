@@ -8,20 +8,20 @@ match score, neighborhood similarity, then sense id.
 
 ``translate`` additionally consults a data-driven decision tree that
 names the action implied by the patient and context (hit, bend, ...).
-Within each group of candidates tied on concept score, senses whose
-implicit action component equals the decided action are promoted.  A tree
-leaf naming the action-domain root means "no particular action implied"
-and promotes nothing.
+The rerank is a stable sort within concept-score ties: senses whose
+implicit action component equals the decided action move ahead of the
+others with the same concept score, and every other order is kept.  A
+tree leaf naming the action-domain root means "no particular action
+implied" and promotes nothing.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import DecisionTreeFormatError, VocabularyGapError
+from .errors import DecisionTreeFormatError, LexselError, VocabularyGapError, parse_json
 from .lexicon import (
     ArgumentStructure,
     InterRep,
@@ -29,9 +29,14 @@ from .lexicon import (
     Role,
     VerbSense,
     build_inter_rep,
-    disambiguate,
 )
-from .matcher import DomainWeights, MatchScore, inexact_match
+from .matcher import (
+    DomainWeights,
+    MatchScore,
+    constraint_degrees,
+    constraint_satisfaction,
+    inexact_match,
+)
 from .taxonomy import ConceptId, TaxonomyStore, neighborhood
 
 
@@ -40,7 +45,12 @@ class SelectionConfig:
     floor: Fraction = Fraction(1, 2)
     max_candidates: int = 10
     weights: DomainWeights = field(default_factory=DomainWeights)
-    action_domain: str = "action"
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.floor <= 1:
+            raise LexselError(f"floor must be within [0, 1], got {self.floor}")
+        if self.max_candidates < 1:
+            raise LexselError(f"max_candidates must be >= 1, got {self.max_candidates}")
 
 
 @dataclass(frozen=True)
@@ -139,10 +149,7 @@ def load_decision_tree(
     text: str, store: TaxonomyStore, nominal_domain: str, action_domain: str = "action"
 ) -> DecisionTree:
     """Parse a decision-tree document; every path must end in a leaf."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DecisionTreeFormatError(f"tree document is not valid JSON: {exc}") from None
+    doc = parse_json(text, DecisionTreeFormatError, "tree document")
     if action_domain not in store.domains:
         raise DecisionTreeFormatError(f"unknown action domain {action_domain!r}")
     root = _parse_tree_node(doc, store, action_domain, nominal_domain, "root")
@@ -188,17 +195,18 @@ def _gather_candidates(
     return found
 
 
-def select_target(
-    lexicon: Lexicon,
-    store: TaxonomyStore,
-    args: ArgumentStructure,
-    config: SelectionConfig = SelectionConfig(),
-    sentence_id: str = "sentence-1",
-) -> list[SelectionResult]:
-    """Rank target senses for one clause; raises on a vocabulary gap."""
-    sense = disambiguate(lexicon, args, store)
-    inter_rep = build_inter_rep(sense, args, sentence_id)
-    return rank_candidates(lexicon, store, inter_rep, args, config)
+def disambiguate(
+    lexicon: Lexicon, args: ArgumentStructure, store: TaxonomyStore
+) -> VerbSense:
+    """Pick the source sense whose constraints fit the arguments best.
+
+    Degrees are exact rationals; ties keep the sense that appears first in
+    the lexicon document.
+    """
+    return max(
+        lexicon.source_senses(args.source_lexeme),
+        key=lambda sense: constraint_satisfaction(constraint_degrees(sense, args, store)),
+    )
 
 
 def rank_candidates(
@@ -233,13 +241,6 @@ def rank_candidates(
     return results
 
 
-def _action_component(
-    lexicon: Lexicon, sense_id: str, action_domain: str
-) -> Optional[ConceptId]:
-    slot = lexicon.senses[sense_id].slot(action_domain)
-    return None if slot is None else slot.concept
-
-
 def rerank_by_action(
     ranking: list[SelectionResult],
     action: Optional[ConceptId],
@@ -248,26 +249,19 @@ def rerank_by_action(
 ) -> list[SelectionResult]:
     """Within ties on concept score, move action-matching senses first.
 
-    Stable within each band, so the match-score order is kept among the
-    promoted senses and again among the rest.
+    ``ranking`` is sorted by concept score, so one stable sort keeps every
+    concept band in place, and the match-score order among the promoted
+    senses and again among the rest.
     """
     if action is None:
         return list(ranking)
-    out: list[SelectionResult] = []
-    i = 0
-    while i < len(ranking):
-        j = i
-        while (
-            j < len(ranking)
-            and ranking[j].score.concept_score == ranking[i].score.concept_score
-        ):
-            j += 1
-        band = ranking[i:j]
-        hits = [r for r in band if _action_component(lexicon, r.sense_id, action_domain) == action]
-        misses = [r for r in band if _action_component(lexicon, r.sense_id, action_domain) != action]
-        out.extend(hits + misses)
-        i = j
-    return out
+
+    def key(r: SelectionResult) -> tuple[Fraction, bool]:
+        slot = lexicon.senses[r.sense_id].slot(action_domain)
+        return r.score.concept_score, slot is not None and slot.concept == action
+
+    # descending; a reversed sort keeps equal keys in their input order
+    return sorted(ranking, key=key, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -299,14 +293,12 @@ def translate(
     inter_rep = build_inter_rep(sense, args, sentence_id)
     ranking = rank_candidates(lexicon, store, inter_rep, args, config)
     action: Optional[ConceptId] = None
-    promote: Optional[ConceptId] = None
     patient = args.bindings.get(Role.E1)
     if tree is not None and patient is not None:
         action = decide_action(tree, patient.concept, args, store)
         # the action-domain root stands for "no particular action implied"
         if action.name != store.domain(tree.action_domain).root:
-            promote = action
-    ranking = rerank_by_action(ranking, promote, lexicon, config.action_domain)
+            ranking = rerank_by_action(ranking, action, lexicon, tree.action_domain)
     top = ranking[0]
     chosen = lexicon.senses[top.sense_id]
     return Translation(

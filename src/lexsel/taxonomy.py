@@ -15,12 +15,11 @@ and n3 is its depth.  All values are exact ``fractions.Fraction``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import CrossDomainError, TaxonomyFormatError, UnknownConceptError
+from .errors import CrossDomainError, TaxonomyFormatError, UnknownConceptError, parse_json
 
 
 class ConceptId(NamedTuple):
@@ -190,10 +189,7 @@ def load_taxonomy(text: str) -> TaxonomyStore:
     concept with an empty parent list is the domain root; each domain must
     have exactly one.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TaxonomyFormatError(f"taxonomy document is not valid JSON: {exc}") from None
+    doc = parse_json(text, TaxonomyFormatError, "taxonomy document")
     if not isinstance(doc, dict) or not isinstance(doc.get("domains"), list):
         raise TaxonomyFormatError('taxonomy document must be {"domains": [...]}')
     note = doc.get("note", "")

@@ -27,7 +27,6 @@ from lexsel import (
     load_taxonomy,
     rerank_by_action,
     resolve_mention,
-    select_target,
     to_argument_structure,
     translate,
 )
@@ -130,7 +129,7 @@ def test_concept_similarity_fixed_values(store):
 
 
 def test_near_synonym_ranking_for_branch(lexicon, store):
-    results = select_target(lexicon, store, args_for(store, e1="branch-1"))
+    results = translate(lexicon, store, args_for(store, e1="branch-1")).ranking
     ids = [r.sense_id for r in results]
     expected_pool = {"duan-la", "da-duan", "duan-cheng", "gua-duan", "zhe-duan"}
     ok = ids[0] == "duan-la" and expected_pool <= set(ids)
@@ -190,7 +189,7 @@ def test_action_tree_promotes_only_within_ties(lexicon, store, tree):
     violations = []
     rankings = 0
     for args in arg_sets:
-        base = select_target(lexicon, store, args)
+        base = translate(lexicon, store, args).ranking
         for action in actions:
             got = rerank_by_action(base, action, lexicon, "action")
             rankings += 1

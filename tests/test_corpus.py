@@ -89,6 +89,10 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="line 2"):
             load_corpus(lines(RECORD) + "\n{oops}")
 
+    def test_rejects_deeply_nested_line(self):
+        with pytest.raises(CorpusFormatError, match="line 2 is not valid JSON"):
+            load_corpus(lines(RECORD) + "\n" + "[" * 5000 + "]" * 5000)
+
     def test_rejects_undeclared_marker(self):
         record = dict(RECORD, context=["by-accident"])
         with pytest.raises(CorpusFormatError, match="undeclared marker"):

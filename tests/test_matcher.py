@@ -19,12 +19,10 @@ from lexsel import (
     SlotStatus,
     build_inter_rep,
     candidate_slots,
-    compare,
     constraint_degrees,
     constraint_satisfaction,
     inexact_match,
     resolve_mention,
-    word_sim,
     word_sim_breakdown,
 )
 from lexsel.bundled import load_bundled_lexicon, load_bundled_store
@@ -83,21 +81,25 @@ class TestDomainWeights:
         with pytest.raises(MatcherError):
             DomainWeights.from_json("nope")
 
+    def test_rejects_deeply_nested_document(self):
+        with pytest.raises(MatcherError, match="weights document is not valid JSON"):
+            DomainWeights.from_json('{"a":' * 5000 + "1" + "}" * 5000)
+
 
 class TestWordSimilarity:
     def test_identical_projections(self, store):
         slots = [slot("ch-of-state", "%separate-in-duan-state")]
-        assert word_sim(slots, slots, UNIFORM, store) == 1
+        assert word_sim_breakdown(slots, slots, UNIFORM, store)[0] == 1
 
     def test_disjoint_domains(self, store):
         a = [slot("ch-of-state", "%separate-in-duan-state")]
         b = [slot("causation", "%cause")]
-        assert word_sim(a, b, UNIFORM, store) == 0
+        assert word_sim_breakdown(a, b, UNIFORM, store)[0] == 0
 
     def test_single_shared_domain(self, store):
         a = [slot("ch-of-state", "%change-of-integrity")]
         b = [slot("ch-of-state", "%separate-in-duan-state")]
-        assert word_sim(a, b, UNIFORM, store) == Fraction(4, 5)
+        assert word_sim_breakdown(a, b, UNIFORM, store)[0] == Fraction(4, 5)
 
     def test_one_sided_domain_dilutes(self, store):
         a = [
@@ -106,10 +108,10 @@ class TestWordSimilarity:
         ]
         b = [slot("ch-of-state", "%separate-in-duan-state")]
         # causation contributes 0 over a union of two domains
-        assert word_sim(a, b, UNIFORM, store) == Fraction(2, 5)
+        assert word_sim_breakdown(a, b, UNIFORM, store)[0] == Fraction(2, 5)
 
     def test_empty_projections(self, store):
-        assert word_sim([], [], UNIFORM, store) == 0
+        assert word_sim_breakdown([], [], UNIFORM, store)[0] == 0
 
     def test_weight_scale_invariance(self, store):
         a = [
@@ -122,7 +124,7 @@ class TestWordSimilarity:
         ]
         w1 = DomainWeights(weights={"ch-of-state": Fraction(2), "causation": Fraction(1)})
         w2 = DomainWeights(weights={"ch-of-state": Fraction(6), "causation": Fraction(3)})
-        assert word_sim(a, b, w1, store) == word_sim(a, b, w2, store)
+        assert word_sim_breakdown(a, b, w1, store)[0] == word_sim_breakdown(a, b, w2, store)[0]
 
     def test_weights_shift_the_score(self, store):
         a = [
@@ -132,13 +134,13 @@ class TestWordSimilarity:
         b = [slot("ch-of-state", "%separate-in-duan-state")]
         heavy = DomainWeights(weights={"ch-of-state": Fraction(3)})
         # shares: 3/4 for ch-of-state, 1/4 for causation
-        assert word_sim(a, b, heavy, store) == Fraction(3, 4) * Fraction(4, 5)
+        assert word_sim_breakdown(a, b, heavy, store)[0] == Fraction(3, 4) * Fraction(4, 5)
 
     def test_all_zero_weights_rejected(self, store):
         a = [slot("ch-of-state", "%change-of-integrity")]
         zero = DomainWeights(default_weight=Fraction(0))
         with pytest.raises(MatcherError, match="all weights are zero"):
-            word_sim(a, a, zero, store)
+            word_sim_breakdown(a, a, zero, store)
 
     def test_breakdown_shares_sum_to_one(self, store):
         a = [
@@ -157,7 +159,7 @@ class TestWordSimilarity:
             slot("ch-of-state", "%separate-in-duan-state"),
             slot("causation", "%cause"),
         ]
-        assert word_sim(a, a, UNIFORM, store) == 1
+        assert word_sim_breakdown(a, a, UNIFORM, store)[0] == 1
 
 
 class TestConstraints:
@@ -175,17 +177,19 @@ class TestConstraints:
 
     def test_unbound_role_scores_zero(self, lexicon, store):
         sense = lexicon.senses["da-duan"]  # constrains E1 and E2
-        score = constraint_satisfaction(sense, args_for(store, e1="branch-1"), store)
+        degrees = constraint_degrees(sense, args_for(store, e1="branch-1"), store)
+        score = constraint_satisfaction(degrees)
         assert score == Fraction(1, 2)
 
     def test_mean_over_constraints(self, lexicon, store):
         sense = lexicon.senses["BREAK-1"]  # E1, E0, E2 constrained
         args = args_for(store, e1="vase-1")
-        assert constraint_satisfaction(sense, args, store) == Fraction(1, 3)
+        assert constraint_satisfaction(constraint_degrees(sense, args, store)) == Fraction(1, 3)
 
     def test_source_disambiguation_degrees(self, lexicon, store):
         args = args_for(store, e0="john-1", e1="language-barrier-1")
-        barrier = constraint_satisfaction(lexicon.senses["BREAK-2"], args, store)
+        degrees = constraint_degrees(lexicon.senses["BREAK-2"], args, store)
+        barrier = constraint_satisfaction(degrees)
         assert barrier == Fraction(3, 4)
 
     def test_no_constraints_means_fully_satisfied(self, lexicon, store):
@@ -199,7 +203,8 @@ class TestConstraints:
             constraints=(),
             projection=sense.projection,
         )
-        assert constraint_satisfaction(unconstrained, args_for(store), store) == 1
+        degrees = constraint_degrees(unconstrained, args_for(store), store)
+        assert constraint_satisfaction(degrees) == 1
 
 
 class TestCandidateSlots:
@@ -231,18 +236,17 @@ class TestMatchScore:
         high = MatchScore(Fraction(4, 5), Fraction(0))
         low = MatchScore(Fraction(2, 3), Fraction(1))
         assert high > low
-        assert compare(high, low) == 1
-        assert compare(low, high) == -1
+        assert low < high
 
     def test_constraint_breaks_concept_ties(self):
         a = MatchScore(Fraction(4, 5), Fraction(1))
         b = MatchScore(Fraction(4, 5), Fraction(1, 2))
-        assert compare(a, b) == 1
+        assert a > b
 
     def test_exact_equality(self):
         a = MatchScore(Fraction(1, 3), Fraction(2, 3))
         b = MatchScore(Fraction(2, 6), Fraction(4, 6))
-        assert compare(a, b) == 0
+        assert not a < b and not b < a
         assert a == b
 
     def test_full_pipeline_example(self, lexicon, store):
@@ -252,7 +256,19 @@ class TestMatchScore:
         rival = inexact_match(rep, lexicon.senses["da-sui"], args, UNIFORM, store)
         assert best == MatchScore(Fraction(4, 5), Fraction(1))
         assert rival == MatchScore(Fraction(4, 5), Fraction(2, 3))
-        assert compare(best, rival) == 1
+        assert best > rival
+
+    def test_parts_take_no_part_in_comparison(self, lexicon, store):
+        args = args_for(store, e0="john-1", e1="vase-1")
+        rep = build_inter_rep(lexicon.senses["BREAK-1"], args)
+        one = inexact_match(rep, lexicon.senses["duan-la"], args, UNIFORM, store)
+        other = inexact_match(rep, lexicon.senses["da-dao"], args, UNIFORM, store)
+        assert (one.domains, one.constraints) != (other.domains, other.constraints)
+        a = MatchScore(Fraction(1, 2), Fraction(1), one.domains, one.constraints)
+        b = MatchScore(Fraction(1, 2), Fraction(1), other.domains, other.constraints)
+        assert a == b
+        assert not a < b and not b < a
+        assert sorted([a, b]) == [a, b] and sorted([b, a]) == [b, a]
 
 
 class TestGradedDegradation:
@@ -261,7 +277,7 @@ class TestGradedDegradation:
         # diplomatic ties are worse still
         sense = lexicon.senses["duan-la"]
         scores = [
-            constraint_satisfaction(sense, args_for(store, e1=m), store)
+            constraint_satisfaction(constraint_degrees(sense, args_for(store, e1=m), store))
             for m in ("stick-1", "vase-1", "diplomatic-ties-1")
         ]
         assert scores[0] == 1
@@ -290,9 +306,9 @@ class TestGradedDegradation:
             return [slot(d, rng.choice(concepts[d])) for d in picked]
 
         a, b = random_slots(), random_slots()
-        score = word_sim(a, b, UNIFORM, store)
+        score = word_sim_breakdown(a, b, UNIFORM, store)[0]
         assert 0 <= score <= 1
-        assert score == word_sim(b, a, UNIFORM, store)
+        assert score == word_sim_breakdown(b, a, UNIFORM, store)[0]
 
 
 class TestWeightsDocumentRoundTrip:

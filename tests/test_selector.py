@@ -9,23 +9,31 @@ from lexsel import (
     ArgumentStructure,
     ConceptId,
     DecisionTreeFormatError,
+    LexselError,
     MatchScore,
     Role,
     SelectionConfig,
     VocabularyGapError,
+    candidate_slots,
+    constraint_degrees,
     decide_action,
+    load_corpus,
     load_decision_tree,
     load_lexicon,
     rerank_by_action,
     resolve_mention,
-    select_target,
+    to_argument_structure,
     translate,
+    word_sim_breakdown,
 )
 from lexsel.bundled import (
+    CORPUS_FILE,
+    COUNTS_FILE,
     bundled_text,
     load_bundled_lexicon,
     load_bundled_store,
     load_bundled_tree,
+    LEXICON_FILE,
     TREE_FILE,
 )
 
@@ -142,6 +150,11 @@ class TestTreeLoader:
         with pytest.raises(DecisionTreeFormatError, match="bad role"):
             load_decision_tree(json.dumps(doc), store, "entity")
 
+    def test_rejects_deeply_nested_document(self, store):
+        text = '{"then":' * 5000 + "{}" + "}" * 5000
+        with pytest.raises(DecisionTreeFormatError, match="tree document is not valid JSON"):
+            load_decision_tree(text, store, "entity")
+
 
 BRANCH_ORDER = [
     ("duan-la", Fraction(4, 5), Fraction(1)),
@@ -156,19 +169,19 @@ BRANCH_ORDER = [
 
 class TestSelectTarget:
     def test_branch_full_ranking(self, lexicon, store):
-        results = select_target(lexicon, store, args_for(store, e1="branch-1"))
+        results = translate(lexicon, store, args_for(store, e1="branch-1")).ranking
         got = [(r.sense_id, r.score.concept_score, r.score.constraint_score) for r in results]
         assert got == BRANCH_ORDER
 
     def test_branch_candidates_come_through_neighbors(self, lexicon, store):
-        results = select_target(lexicon, store, args_for(store, e1="branch-1"))
+        results = translate(lexicon, store, args_for(store, e1="branch-1")).ranking
         top = results[0]
         assert top.via_concept == ConceptId("ch-of-state", "%separate-in-duan-state")
         assert top.neighborhood_sim == Fraction(4, 5)
 
     def test_exact_realization_bypasses_neighbors(self, lexicon, store):
         # the snap sense projects straight onto the realized duan concept
-        results = select_target(lexicon, store, args_for(store, "snap", e1="twig-1"))
+        results = translate(lexicon, store, args_for(store, "snap", e1="twig-1")).ranking
         assert all(r.neighborhood_sim == 1 for r in results)
         assert [r.sense_id for r in results] == [
             "duan-la",
@@ -184,7 +197,7 @@ class TestSelectTarget:
         previous = None
         for floor in (Fraction(4, 5), Fraction(1, 2), Fraction(1, 5)):
             config = SelectionConfig(floor=floor)
-            ids = {r.sense_id for r in select_target(lexicon, store, args, config)}
+            ids = {r.sense_id for r in translate(lexicon, store, args, config).ranking}
             if previous is not None:
                 assert previous <= ids
             previous = ids
@@ -192,29 +205,29 @@ class TestSelectTarget:
     def test_floor_above_all_neighbors_is_a_gap(self, lexicon, store):
         config = SelectionConfig(floor=Fraction(81, 100))
         with pytest.raises(VocabularyGapError, match="no target realization"):
-            select_target(lexicon, store, args_for(store, e1="branch-1"), config)
+            translate(lexicon, store, args_for(store, e1="branch-1"), config).ranking
 
     def test_neighborhood_size_cap(self, lexicon, store):
         # with one slot only the nearest neighbor concept survives, and
         # name order puts the duan concept first among the 4/5 ties
         config = SelectionConfig(max_candidates=1)
-        results = select_target(lexicon, store, args_for(store, e1="branch-1"), config)
+        results = translate(lexicon, store, args_for(store, e1="branch-1"), config).ranking
         vias = {r.via_concept.name for r in results}
         assert vias == {"%separate-in-duan-state"}
         assert len(results) == 5
 
     def test_ranking_ignores_document_order(self, lexicon, store):
-        doc = lexicon.to_document()
+        doc = json.loads(bundled_text(LEXICON_FILE))
         doc["senses"] = list(reversed(doc["senses"]))
         reversed_lexicon = load_lexicon(json.dumps(doc), store)
         args = args_for(store, e1="branch-1")
-        a = [r.sense_id for r in select_target(lexicon, store, args)]
-        b = [r.sense_id for r in select_target(reversed_lexicon, store, args)]
+        a = [r.sense_id for r in translate(lexicon, store, args).ranking]
+        b = [r.sense_id for r in translate(reversed_lexicon, store, args).ranking]
         assert a == b
 
     def test_multi_slot_meaning_gathers_over_every_concept(self, lexicon, store):
         args = args_for(store, "hit", e0="bonds-1", e1="price-peak-1")
-        results = select_target(lexicon, store, args)
+        results = translate(lexicon, store, args).ranking
         assert [r.sense_id for r in results] == ["da-dao"]
         top = results[0]
         assert top.score == MatchScore(Fraction(1, 3), Fraction(1))
@@ -222,9 +235,46 @@ class TestSelectTarget:
         assert top.neighborhood_sim == Fraction(1, 2)
 
 
+class TestSelectionConfig:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"floor": Fraction(3, 2)}, "floor must be within"),
+            ({"floor": Fraction(-1, 10)}, "floor must be within"),
+            ({"max_candidates": 0}, "max_candidates must be >= 1"),
+        ],
+    )
+    def test_rejects_out_of_range(self, bad, message):
+        with pytest.raises(LexselError, match=message):
+            SelectionConfig(**bad)
+
+    def test_accepts_the_bounds(self):
+        SelectionConfig(floor=Fraction(0), max_candidates=1)
+        SelectionConfig(floor=Fraction(1))
+
+
+class TestScoreRecord:
+    def test_every_candidate_keeps_the_parts_it_was_scored_from(self, lexicon, store, tree):
+        config = SelectionConfig()
+        clauses = candidates = 0
+        for name in (CORPUS_FILE, COUNTS_FILE):
+            for record in load_corpus(bundled_text(name)).records:
+                args = to_argument_structure(record, store, lexicon.nominal_domain)
+                t = translate(lexicon, store, args, config, tree)
+                clauses += 1
+                for r in t.ranking:
+                    sense = lexicon.senses[r.sense_id]
+                    slots = candidate_slots(t.inter_rep, sense)
+                    _, domains = word_sim_breakdown(t.inter_rep.slots, slots, config.weights, store)
+                    assert r.score.domains == domains
+                    assert r.score.constraints == constraint_degrees(sense, args, store)
+                    candidates += 1
+        assert clauses == 162 and candidates > clauses
+
+
 class TestRerankByAction:
     def pick(self, lexicon, store, mentions, ids):
-        results = select_target(lexicon, store, args_for(store, **mentions))
+        results = translate(lexicon, store, args_for(store, **mentions)).ranking
         by_id = {r.sense_id: r for r in results}
         return [by_id[i] for i in ids]
 
@@ -243,7 +293,7 @@ class TestRerankByAction:
     def test_bands_do_not_cross(self, lexicon, store):
         # duan-la sits in a lower concept band when the agent is bound, so
         # promoting the hit senses must not lift them above it
-        results = select_target(lexicon, store, args_for(store, e0="john-1", e1="vase-1"))
+        results = translate(lexicon, store, args_for(store, e0="john-1", e1="vase-1")).ranking
         got = rerank_by_action(results, action("%hit-action"), lexicon, "action")
         bands = [r.score.concept_score for r in got]
         assert bands == sorted(bands, reverse=True)

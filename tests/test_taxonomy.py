@@ -213,6 +213,10 @@ class TestLoaderValidation:
         with pytest.raises(TaxonomyFormatError, match="not valid JSON"):
             load_taxonomy("{")
 
+    def test_rejects_deeply_nested_document(self):
+        with pytest.raises(TaxonomyFormatError, match="taxonomy document is not valid JSON"):
+            load_taxonomy("[" * 5000 + "]" * 5000)
+
     def test_rejects_missing_root(self):
         with pytest.raises(TaxonomyFormatError, match="no root"):
             store_from({"A": ("B",), "B": ("A",)} | {})
