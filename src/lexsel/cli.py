@@ -28,7 +28,7 @@ from .corpus import (
     load_corpus,
     to_argument_structure,
 )
-from .errors import LexselError, VocabularyGapError
+from .errors import LexselError, VocabularyGapError, parse_fraction
 from .lexicon import ArgumentStructure, Lexicon, Role, load_lexicon, resolve_mention
 from .matcher import DomainWeights
 from .selector import (
@@ -45,9 +45,11 @@ FORMATS = ("text", "json", "tsv")
 
 def _fraction_arg(raw: str) -> Fraction:
     try:
-        return Fraction(Decimal(raw))
-    except (InvalidOperation, ValueError):
+        return parse_fraction(Decimal(raw))
+    except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{raw!r}: {exc}") from None
 
 
 def _fmt(value: Fraction) -> str:
@@ -173,10 +175,13 @@ def _load_tree(
     return bundled.load_bundled_tree(store, nominal_domain)
 
 
-def _config(ns: argparse.Namespace) -> SelectionConfig:
+def _config(ns: argparse.Namespace, store: TaxonomyStore) -> SelectionConfig:
     weights = DomainWeights()
     if ns.weights:
         weights = DomainWeights.from_json(_read_text(ns.weights))
+        for name in weights.weights:
+            if name not in store.domains:
+                raise LexselError(f"{ns.weights}: no loaded taxonomy defines domain {name!r}")
     return SelectionConfig(floor=ns.floor, max_candidates=ns.max_candidates, weights=weights)
 
 
@@ -241,7 +246,7 @@ def _translation_payload(result: Translation, lexicon: Lexicon) -> dict:
         "gloss": result.gloss,
         "source_sense": result.source_sense,
         "decided_action": None if result.decided_action is None else result.decided_action.name,
-        "inter_rep": [slot.render() for slot in result.inter_rep.slots],
+        "inter_rep": [slot.render() for slot in result.inter_rep.slots.values()],
         "candidates": [
             {
                 "rank": i + 1,
@@ -262,7 +267,7 @@ def _translation_payload(result: Translation, lexicon: Lexicon) -> dict:
 
 def _print_explanation(result: Translation, lexicon: Lexicon) -> None:
     print(f"source sense: {result.source_sense} ({lexicon.senses[result.source_sense].gloss})")
-    print("clause meaning: " + "; ".join(s.render() for s in result.inter_rep.slots))
+    print("clause meaning: " + "; ".join(s.render() for s in result.inter_rep.slots.values()))
     if result.decided_action is None:
         print("action decision: (tree not consulted)")
     else:
@@ -288,7 +293,7 @@ def cmd_select(ns: argparse.Namespace) -> int:
     store = _load_store(ns)
     lexicon = _load_lexicon(ns, store)
     tree = _load_tree(ns, store, lexicon.nominal_domain)
-    config = _config(ns)
+    config = _config(ns, store)
     args = _build_args(ns, store, lexicon.nominal_domain)
     result = translate(lexicon, store, args, config, tree)
     if ns.format == "json":
@@ -316,7 +321,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     store = _load_store(ns)
     lexicon = _load_lexicon(ns, store)
     tree = _load_tree(ns, store, lexicon.nominal_domain)
-    config = _config(ns)
+    config = _config(ns, store)
     corpus = _load_corpus_file(ns)
     report = evaluate_corpus(corpus, lexicon, store, config, tree)
     if ns.format == "json":

@@ -1,10 +1,17 @@
-"""Exception types shared across the package, and the one JSON reader.
+"""Exception types shared across the package, and the JSON and number readers.
 
 Every error raised on bad input data names the offending object (domain,
 concept, sense, record line) so callers can report it without digging.
 """
 
 import json
+import re
+from decimal import Decimal
+from fractions import Fraction
+
+# Fraction builds 10**|exponent| exactly; no weight or floor needs more.
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 class LexselError(Exception):
@@ -55,8 +62,19 @@ def parse_json(text: str, error: type[LexselError], what: str) -> object:
     """``json.loads``, raising ``error`` on bad or too deeply nested text."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a syntax error, or an integer too long to convert
         reason = str(exc)
     except RecursionError:
         reason = "nested too deeply"
     raise error(f"{what} is not valid JSON: {reason}")
+
+
+def parse_fraction(value: str | Decimal) -> Fraction:
+    """``Fraction(value)``; ``ValueError`` for a non-finite ``Decimal`` or a
+    decimal exponent beyond ``MAX_EXPONENT`` in size, checked first."""
+    if isinstance(value, Decimal) and not value.is_finite():
+        raise ValueError(f"{value} is not a finite number")
+    match = _EXPONENT.search(str(value))
+    if match and abs(int(match[1])) > MAX_EXPONENT:
+        raise ValueError(f"exponent {match[1]} is outside ±{MAX_EXPONENT}")
+    return Fraction(value)

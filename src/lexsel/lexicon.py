@@ -3,7 +3,9 @@
 A sense projects onto named domains through slots with one of three
 statuses: OBL slots carry the core of the meaning, OPT slots surface only
 through syntactic alternations (e.g. an external causer), and IMP slots
-are implicit background (time, place, an unspecified action).  Selection
+are implicit background (time, place, an unspecified action).  A sense has
+at most one slot per domain, so a projection (and a clause meaning) is a
+dict keyed by domain, in document order.  Selection
 constraints pair a thematic role (E0 agent, E1 patient, E2 instrument)
 with a nominal concept.
 
@@ -84,16 +86,10 @@ class VerbSense:
     gloss: str
     example: str
     constraints: tuple[SelectionConstraint, ...]
-    projection: tuple[ProjectionSlot, ...]
+    projection: dict[str, ProjectionSlot]  # keyed by domain, document order
 
     def obl_slots(self) -> tuple[ProjectionSlot, ...]:
-        return tuple(s for s in self.projection if s.status is SlotStatus.OBL)
-
-    def slot(self, domain: str) -> Optional[ProjectionSlot]:
-        for s in self.projection:
-            if s.domain == domain:
-                return s
-        return None
+        return tuple(s for s in self.projection.values() if s.status is SlotStatus.OBL)
 
 
 @dataclass(frozen=True)
@@ -117,17 +113,10 @@ class InterRep:
 
     sentence_id: str
     source_sense: str
-    slots: tuple[ProjectionSlot, ...]
+    slots: dict[str, ProjectionSlot]  # keyed by domain; every slot names a concept
 
     def obl_concepts(self) -> tuple[ConceptId, ...]:
-        return tuple(
-            s.concept
-            for s in self.slots
-            if s.status is SlotStatus.OBL and s.concept is not None
-        )
-
-    def domains(self) -> tuple[str, ...]:
-        return tuple(s.domain for s in self.slots)
+        return tuple(s.concept for s in self.slots.values() if s.status is SlotStatus.OBL)
 
 
 def resolve_mention(store: TaxonomyStore, nominal_domain: str, token: str) -> Binding:
@@ -156,7 +145,6 @@ class Lexicon:
         self.nominal_domain = nominal_domain
         self.senses: dict[str, VerbSense] = {s.sense_id: s for s in senses}
         self._source_by_lexeme: dict[str, list[str]] = {}
-        self._index: dict[ConceptId, tuple[str, ...]] = {}
         by_concept: dict[ConceptId, list[str]] = {}
         for sense in senses:  # document order preserved
             if sense.language == "source":
@@ -273,15 +261,15 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
         projection_raw = raw.get("projection")
         if not isinstance(projection_raw, list) or not projection_raw:
             raise LexiconFormatError(f"{where}: needs a non-empty projection list")
-        slots = [_parse_slot(s, store, where) for s in projection_raw]
-        domains_seen: set[str] = set()
-        for slot in slots:
-            if slot.domain in domains_seen:
+        projection: dict[str, ProjectionSlot] = {}
+        for raw_slot in projection_raw:
+            slot = _parse_slot(raw_slot, store, where)
+            if slot.domain in projection:
                 raise LexiconFormatError(
                     f"{where}: more than one slot in domain {slot.domain!r}"
                 )
-            domains_seen.add(slot.domain)
-        if not any(s.status is SlotStatus.OBL for s in slots):
+            projection[slot.domain] = slot
+        if not any(s.status is SlotStatus.OBL for s in projection.values()):
             raise LexiconFormatError(f"{where}: needs at least one OBL slot")
 
         senses.append(
@@ -292,7 +280,7 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
                 gloss=gloss,
                 example=example,
                 constraints=tuple(constraints),
-                projection=tuple(slots),
+                projection=projection,
             )
         )
     return Lexicon(nominal_domain=nominal, senses=senses)
@@ -335,16 +323,14 @@ def build_inter_rep(
         raise LexiconFormatError(
             f"sense {sense.sense_id!r} is not a source sense; cannot build a clause meaning"
         )
-    kept: list[ProjectionSlot] = []
-    for slot in sense.projection:
+    kept: dict[str, ProjectionSlot] = {}
+    for domain, slot in sense.projection.items():
         if slot.concept is None:
             continue
         filled = _substitute(slot, args)
         if filled is None:
             continue
-        kept.append(
-            ProjectionSlot(
-                domain=slot.domain, status=slot.status, concept=slot.concept, args=filled
-            )
+        kept[domain] = ProjectionSlot(
+            domain=domain, status=slot.status, concept=slot.concept, args=filled
         )
-    return InterRep(sentence_id=sentence_id, source_sense=sense.sense_id, slots=tuple(kept))
+    return InterRep(sentence_id=sentence_id, source_sense=sense.sense_id, slots=kept)

@@ -1,7 +1,9 @@
 """Aggregate similarity between projections and graded constraint scoring.
 
 Word-level similarity sums weighted concept similarity over the union of
-the two projections' domains; a domain present on only one side
+the two projections' domains.  Projections are dicts keyed by domain (a
+sense has at most one slot per domain), so the two sides are compared
+domain by domain as stored.  A domain present on only one side
 contributes zero, which penalizes candidates that cover a different set
 of domains than the clause meaning.  Weights are renormalized to sum to 1
 over that union, so scores stay in [0, 1].  Everything is computed with
@@ -11,11 +13,10 @@ exact rationals so equality comparisons in ranking are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .errors import MatcherError, parse_json
+from .errors import MatcherError, parse_fraction, parse_json
 from .lexicon import (
     ArgumentStructure,
     InterRep,
@@ -31,9 +32,7 @@ def _as_fraction(value: object, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, float, str, Fraction)):
         raise MatcherError(f"{where}: weight must be a number, got {value!r}")
     try:
-        if isinstance(value, float):
-            return Fraction(Decimal(str(value)))
-        return Fraction(value)
+        return parse_fraction(str(value))  # a float reads exactly as its shortest repr
     except (ValueError, ArithmeticError):
         raise MatcherError(f"{where}: cannot read weight {value!r}") from None
 
@@ -67,15 +66,6 @@ class DomainWeights:
         return cls(weights=weights, default_weight=default)
 
 
-def _by_domain(slots: Iterable[ProjectionSlot]) -> dict[str, ConceptId]:
-    out: dict[str, ConceptId] = {}
-    for slot in slots:
-        if slot.concept is None:
-            continue
-        out[slot.domain] = slot.concept
-    return out
-
-
 @dataclass(frozen=True, slots=True)
 class DomainContribution:
     domain: str
@@ -86,13 +76,15 @@ class DomainContribution:
 
 
 def word_sim_breakdown(
-    a: Sequence[ProjectionSlot],
-    b: Sequence[ProjectionSlot],
+    left: Mapping[str, ProjectionSlot],
+    right: Mapping[str, ProjectionSlot],
     weights: DomainWeights,
     store: TaxonomyStore,
 ) -> tuple[Fraction, tuple[DomainContribution, ...]]:
-    """Weighted per-domain similarity over the union of both domain sets."""
-    left, right = _by_domain(a), _by_domain(b)
+    """Weighted per-domain similarity over the union of both domain sets.
+
+    Both mappings are keyed by domain; every slot in them names a concept.
+    """
     union = sorted(left.keys() | right.keys())
     if not union:
         return Fraction(0), ()
@@ -104,7 +96,8 @@ def word_sim_breakdown(
     score = Fraction(0)
     parts: list[DomainContribution] = []
     for domain in union:
-        ca, cb = left.get(domain), right.get(domain)
+        ca = left[domain].concept if domain in left else None
+        cb = right[domain].concept if domain in right else None
         sim = con_sim(store, ca, cb) if ca is not None and cb is not None else Fraction(0)
         share = weights.weight(domain) / total
         score += share * sim
@@ -162,7 +155,7 @@ class MatchScore:
     constraints: tuple[ConstraintDegree, ...] = field(default=(), compare=False)
 
 
-def candidate_slots(inter_rep: InterRep, candidate: VerbSense) -> list[ProjectionSlot]:
+def candidate_slots(inter_rep: InterRep, candidate: VerbSense) -> dict[str, ProjectionSlot]:
     """The candidate slots a clause meaning is matched against.
 
     All OBL slots count.  An OPT slot counts only when the clause meaning
@@ -170,14 +163,12 @@ def candidate_slots(inter_rep: InterRep, candidate: VerbSense) -> list[Projectio
     about the fit.  IMP slots never enter the similarity; the implicit
     action component is consulted separately by the selection tree.
     """
-    present = set(inter_rep.domains())
-    out = []
-    for slot in candidate.projection:
-        if slot.status is SlotStatus.OBL:
-            out.append(slot)
-        elif slot.status is SlotStatus.OPT and slot.domain in present:
-            out.append(slot)
-    return out
+    return {
+        domain: slot
+        for domain, slot in candidate.projection.items()
+        if slot.status is SlotStatus.OBL
+        or (slot.status is SlotStatus.OPT and domain in inter_rep.slots)
+    }
 
 
 def inexact_match(

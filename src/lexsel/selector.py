@@ -89,6 +89,7 @@ class TreeLeaf:
 
 
 TreeNode = Union[TreeBranch, TreeLeaf]
+ACTION_DOMAIN = "action"  # the domain whose concepts tree leaves name
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ class DecisionTree:
 
 
 def _parse_tree_node(
-    raw: object, store: TaxonomyStore, action_domain: str, nominal_domain: str, path: str
+    raw: object, store: TaxonomyStore, nominal_domain: str, path: str
 ) -> TreeNode:
     if not isinstance(raw, dict):
         raise DecisionTreeFormatError(f"{path}: node must be an object")
@@ -106,7 +107,7 @@ def _parse_tree_node(
         name = raw["action"]
         if not isinstance(name, str):
             raise DecisionTreeFormatError(f"{path}: leaf action must be a string")
-        concept = ConceptId(action_domain, name)
+        concept = ConceptId(ACTION_DOMAIN, name)
         if not store.has_concept(concept):
             raise DecisionTreeFormatError(
                 f"{path}: leaf names unknown action concept {name!r}"
@@ -140,20 +141,18 @@ def _parse_tree_node(
         raise DecisionTreeFormatError(f"{path}: unknown test kind {kind!r}")
     return TreeBranch(
         test=TreeTest(kind=kind, value=value),
-        then=_parse_tree_node(raw["then"], store, action_domain, nominal_domain, path + "/then"),
-        otherwise=_parse_tree_node(raw["else"], store, action_domain, nominal_domain, path + "/else"),
+        then=_parse_tree_node(raw["then"], store, nominal_domain, path + "/then"),
+        otherwise=_parse_tree_node(raw["else"], store, nominal_domain, path + "/else"),
     )
 
 
-def load_decision_tree(
-    text: str, store: TaxonomyStore, nominal_domain: str, action_domain: str = "action"
-) -> DecisionTree:
+def load_decision_tree(text: str, store: TaxonomyStore, nominal_domain: str) -> DecisionTree:
     """Parse a decision-tree document; every path must end in a leaf."""
     doc = parse_json(text, DecisionTreeFormatError, "tree document")
-    if action_domain not in store.domains:
-        raise DecisionTreeFormatError(f"unknown action domain {action_domain!r}")
-    root = _parse_tree_node(doc, store, action_domain, nominal_domain, "root")
-    return DecisionTree(root=root, action_domain=action_domain)
+    if ACTION_DOMAIN not in store.domains:
+        raise DecisionTreeFormatError(f"unknown action domain {ACTION_DOMAIN!r}")
+    root = _parse_tree_node(doc, store, nominal_domain, "root")
+    return DecisionTree(root=root, action_domain=ACTION_DOMAIN)
 
 
 def decide_action(
@@ -257,7 +256,7 @@ def rerank_by_action(
         return list(ranking)
 
     def key(r: SelectionResult) -> tuple[Fraction, bool]:
-        slot = lexicon.senses[r.sense_id].slot(action_domain)
+        slot = lexicon.senses[r.sense_id].projection.get(action_domain)
         return r.score.concept_score, slot is not None and slot.concept == action
 
     # descending; a reversed sort keeps equal keys in their input order

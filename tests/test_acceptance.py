@@ -183,7 +183,7 @@ def test_action_tree_promotes_only_within_ties(lexicon, store, tree):
     ]
 
     def component(sense_id):
-        slot = lexicon.senses[sense_id].slot("action")
+        slot = lexicon.senses[sense_id].projection.get("action")
         return None if slot is None else slot.concept
 
     violations = []

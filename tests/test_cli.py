@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -157,6 +158,14 @@ class TestSelect:
         assert concept["zhe-duan"] == "24/25"
         assert concept["duan-la"] == "4/25"
 
+    def test_weight_for_unknown_domain_exits_2(self, capsys, tmp_path):
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps({"causaton": 4}))
+        code = main(["select", "--lexeme", "break", "--e1", "stick-1", "--weights", str(weights)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {weights}: no loaded taxonomy defines domain 'causaton'\n"
+
 
 class TestEval:
     def test_text_summary(self, capsys):
@@ -209,6 +218,17 @@ class TestEval:
         assert code == 2
         assert err.startswith("error: ") and "not UTF-8" in err and str(bad) in err
 
+    @pytest.mark.parametrize(
+        "flag", ["--taxonomy", "--lexicon", "--tree", "--weights", "--corpus"]
+    )
+    def test_huge_integer_in_data_file_exits_2(self, capsys, tmp_path, flag):
+        bad = tmp_path / "huge.json"
+        bad.write_text("1" * 5000)
+        code = main(["eval", flag, str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "is not valid JSON: Exceeds the limit" in err
+
 
 class TestFreq:
     def test_bundled_default_corpus(self, capsys):
@@ -248,6 +268,15 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as err:
             main(["select", "--lexeme", "break", "--e1", "vase-1", "--floor", "high"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("floor", ["inf", "1e999999999", "1e-999999999"])
+    def test_non_finite_or_huge_floor_exits_2_at_once(self, capsys, floor):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as err:
+            main(["select", "--lexeme", "break", "--e1", "vase-1", "--floor", floor])
+        assert err.value.code == 2
+        assert time.perf_counter() - start < 1
+        assert f"argument --floor: {floor!r}" in capsys.readouterr().err
 
 
 BATTERY = [

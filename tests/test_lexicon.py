@@ -51,7 +51,7 @@ class TestBundledLexicon:
             ("E0", "animate-object"),
             ("E2", "instrument"),
         ]
-        statuses = [(s.domain, s.status.value) for s in sense.projection]
+        statuses = [(s.domain, s.status.value) for s in sense.projection.values()]
         assert statuses == [
             ("ch-of-state", "OBL"),
             ("causation", "OPT"),
@@ -65,9 +65,9 @@ class TestBundledLexicon:
 
     def test_bare_implicit_slots_have_no_concept(self, lexicon):
         sense = lexicon.senses["BREAK-1"]
-        assert sense.slot("action").concept is None
-        assert sense.slot("functionality").concept is None
-        assert sense.slot("missing-domain") is None
+        assert sense.projection.get("action").concept is None
+        assert sense.projection.get("functionality").concept is None
+        assert sense.projection.get("missing-domain") is None
 
     def test_realization_index(self, lexicon):
         duan = ConceptId("ch-of-state", "%separate-in-duan-state")
@@ -159,7 +159,7 @@ class TestBuildInterRep:
     def test_patient_only_keeps_core_slot(self, lexicon, store):
         args = args_for(store, "break", e1="branch-1")
         rep = build_inter_rep(lexicon.senses["BREAK-1"], args)
-        assert [s.render() for s in rep.slots] == [
+        assert [s.render() for s in rep.slots.values()] == [
             "ch-of-state (%change-of-integrity branch-1)"
         ]
         assert rep.source_sense == "BREAK-1"
@@ -168,7 +168,7 @@ class TestBuildInterRep:
     def test_agent_surfaces_the_cause_slot(self, lexicon, store):
         args = args_for(store, "break", e0="john-1", e1="vase-1")
         rep = build_inter_rep(lexicon.senses["BREAK-1"], args)
-        assert [s.render() for s in rep.slots] == [
+        assert [s.render() for s in rep.slots.values()] == [
             "ch-of-state (%change-of-integrity vase-1)",
             "causation (%cause john-1 *)",
         ]
@@ -176,19 +176,19 @@ class TestBuildInterRep:
     def test_instrument_surfaces_its_slot(self, lexicon, store):
         args = args_for(store, "break", e0="john-1", e1="stick-1", e2="hammer-1")
         rep = build_inter_rep(lexicon.senses["BREAK-1"], args)
-        assert [s.render() for s in rep.slots] == [
+        assert [s.render() for s in rep.slots.values()] == [
             "ch-of-state (%change-of-integrity stick-1)",
             "causation (%cause john-1 *)",
             "instrument (%with-instrument john-1 hammer-1)",
         ]
-        assert rep.domains() == ("ch-of-state", "causation", "instrument")
+        assert tuple(rep.slots) == ("ch-of-state", "causation", "instrument")
 
     def test_placeholder_slots_never_surface(self, lexicon, store):
         # time and space slots hold @t0/@l0 variables; no binding fills them
         args = args_for(store, "break", e0="john-1", e1="vase-1", e2="hammer-1")
         rep = build_inter_rep(lexicon.senses["BREAK-1"], args)
-        assert "time" not in rep.domains()
-        assert "space" not in rep.domains()
+        assert "time" not in rep.slots
+        assert "space" not in rep.slots
 
     def test_unbound_obligatory_role_is_an_error(self, lexicon, store):
         args = args_for(store, "break", e0="john-1")
@@ -234,7 +234,7 @@ class TestLoaderValidation:
 
     def test_valid_minimal_sense(self, store):
         lex = self.load_one(store)
-        assert lex.senses["T-1"].projection[0].status is SlotStatus.OBL
+        assert lex.senses["T-1"].projection["ch-of-state"].status is SlotStatus.OBL
 
     def test_rejects_unknown_nominal_domain(self, store):
         doc = {"nominal_domain": "nowhere", "senses": []}

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,10 @@ def slot(domain: str, concept: str, status=SlotStatus.OBL) -> ProjectionSlot:
     return ProjectionSlot(
         domain=domain, status=status, concept=ConceptId(domain, concept), args=()
     )
+
+
+def proj(*slots: ProjectionSlot) -> dict[str, ProjectionSlot]:
+    return {s.domain: s for s in slots}
 
 
 def args_for(store, lexeme="break", markers=(), **mentions) -> ArgumentStructure:
@@ -85,80 +90,87 @@ class TestDomainWeights:
         with pytest.raises(MatcherError, match="weights document is not valid JSON"):
             DomainWeights.from_json('{"a":' * 5000 + "1" + "}" * 5000)
 
+    @pytest.mark.parametrize("text", ["inf", "1e999999999", "1e-999999999"])
+    def test_rejects_non_finite_or_huge_weight_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(MatcherError, match="cannot read weight"):
+            DomainWeights.from_json(json.dumps({"a": text}))
+        assert time.perf_counter() - start < 1
+
 
 class TestWordSimilarity:
     def test_identical_projections(self, store):
-        slots = [slot("ch-of-state", "%separate-in-duan-state")]
+        slots = proj(slot("ch-of-state", "%separate-in-duan-state"))
         assert word_sim_breakdown(slots, slots, UNIFORM, store)[0] == 1
 
     def test_disjoint_domains(self, store):
-        a = [slot("ch-of-state", "%separate-in-duan-state")]
-        b = [slot("causation", "%cause")]
+        a = proj(slot("ch-of-state", "%separate-in-duan-state"))
+        b = proj(slot("causation", "%cause"))
         assert word_sim_breakdown(a, b, UNIFORM, store)[0] == 0
 
     def test_single_shared_domain(self, store):
-        a = [slot("ch-of-state", "%change-of-integrity")]
-        b = [slot("ch-of-state", "%separate-in-duan-state")]
+        a = proj(slot("ch-of-state", "%change-of-integrity"))
+        b = proj(slot("ch-of-state", "%separate-in-duan-state"))
         assert word_sim_breakdown(a, b, UNIFORM, store)[0] == Fraction(4, 5)
 
     def test_one_sided_domain_dilutes(self, store):
-        a = [
+        a = proj(
             slot("ch-of-state", "%change-of-integrity"),
             slot("causation", "%cause"),
-        ]
-        b = [slot("ch-of-state", "%separate-in-duan-state")]
+        )
+        b = proj(slot("ch-of-state", "%separate-in-duan-state"))
         # causation contributes 0 over a union of two domains
         assert word_sim_breakdown(a, b, UNIFORM, store)[0] == Fraction(2, 5)
 
     def test_empty_projections(self, store):
-        assert word_sim_breakdown([], [], UNIFORM, store)[0] == 0
+        assert word_sim_breakdown({}, {}, UNIFORM, store)[0] == 0
 
     def test_weight_scale_invariance(self, store):
-        a = [
+        a = proj(
             slot("ch-of-state", "%change-of-integrity"),
             slot("causation", "%cause"),
-        ]
-        b = [
+        )
+        b = proj(
             slot("ch-of-state", "%separate-in-duan-state"),
             slot("causation", "%cause"),
-        ]
+        )
         w1 = DomainWeights(weights={"ch-of-state": Fraction(2), "causation": Fraction(1)})
         w2 = DomainWeights(weights={"ch-of-state": Fraction(6), "causation": Fraction(3)})
         assert word_sim_breakdown(a, b, w1, store)[0] == word_sim_breakdown(a, b, w2, store)[0]
 
     def test_weights_shift_the_score(self, store):
-        a = [
+        a = proj(
             slot("ch-of-state", "%change-of-integrity"),
             slot("causation", "%cause"),
-        ]
-        b = [slot("ch-of-state", "%separate-in-duan-state")]
+        )
+        b = proj(slot("ch-of-state", "%separate-in-duan-state"))
         heavy = DomainWeights(weights={"ch-of-state": Fraction(3)})
         # shares: 3/4 for ch-of-state, 1/4 for causation
         assert word_sim_breakdown(a, b, heavy, store)[0] == Fraction(3, 4) * Fraction(4, 5)
 
     def test_all_zero_weights_rejected(self, store):
-        a = [slot("ch-of-state", "%change-of-integrity")]
+        a = proj(slot("ch-of-state", "%change-of-integrity"))
         zero = DomainWeights(default_weight=Fraction(0))
         with pytest.raises(MatcherError, match="all weights are zero"):
             word_sim_breakdown(a, a, zero, store)
 
     def test_breakdown_shares_sum_to_one(self, store):
-        a = [
+        a = proj(
             slot("ch-of-state", "%change-of-integrity"),
             slot("causation", "%cause"),
             slot("instrument", "%with-instrument"),
-        ]
-        b = [slot("ch-of-state", "%separate-in-pieces-state")]
+        )
+        b = proj(slot("ch-of-state", "%separate-in-pieces-state"))
         score, parts = word_sim_breakdown(a, b, UNIFORM, store)
         assert sum(p.weight for p in parts) == 1
         assert [p.domain for p in parts] == ["causation", "ch-of-state", "instrument"]
         assert score == sum(p.weight * p.similarity for p in parts)
 
     def test_score_never_exceeds_one(self, store):
-        a = [
+        a = proj(
             slot("ch-of-state", "%separate-in-duan-state"),
             slot("causation", "%cause"),
-        ]
+        )
         assert word_sim_breakdown(a, a, UNIFORM, store)[0] == 1
 
 
@@ -216,8 +228,8 @@ class TestCandidateSlots:
             lexicon.senses["BREAK-1"], args_for(store, e0="john-1", e1="branch-1")
         )
         candidate = lexicon.senses["zhe-duan"]  # OBL duan + OPT causation + IMP action
-        assert [s.domain for s in candidate_slots(rep_plain, candidate)] == ["ch-of-state"]
-        assert [s.domain for s in candidate_slots(rep_caused, candidate)] == [
+        assert list(candidate_slots(rep_plain, candidate)) == ["ch-of-state"]
+        assert list(candidate_slots(rep_caused, candidate)) == [
             "ch-of-state",
             "causation",
         ]
@@ -227,7 +239,7 @@ class TestCandidateSlots:
             lexicon.senses["BREAK-1"], args_for(store, e0="john-1", e1="vase-1")
         )
         candidate = lexicon.senses["da-sui"]
-        domains = [s.domain for s in candidate_slots(rep, candidate)]
+        domains = list(candidate_slots(rep, candidate))
         assert "action" not in domains
 
 
@@ -303,7 +315,7 @@ class TestGradedDegradation:
 
         def random_slots():
             picked = rng.sample(domains, rng.randint(0, len(domains)))
-            return [slot(d, rng.choice(concepts[d])) for d in picked]
+            return proj(*(slot(d, rng.choice(concepts[d])) for d in picked))
 
         a, b = random_slots(), random_slots()
         score = word_sim_breakdown(a, b, UNIFORM, store)[0]

@@ -20,6 +20,7 @@ from lexsel import (
     load_corpus,
     load_decision_tree,
     load_lexicon,
+    load_taxonomy,
     rerank_by_action,
     resolve_mention,
     to_argument_structure,
@@ -149,6 +150,11 @@ class TestTreeLoader:
         }
         with pytest.raises(DecisionTreeFormatError, match="bad role"):
             load_decision_tree(json.dumps(doc), store, "entity")
+
+    def test_rejects_store_without_action_domain(self):
+        entities = load_taxonomy(bundled_text("entities.json"))
+        with pytest.raises(DecisionTreeFormatError, match="unknown action domain 'action'"):
+            load_decision_tree('{"action": "%action"}', entities, "entity")
 
     def test_rejects_deeply_nested_document(self, store):
         text = '{"then":' * 5000 + "{}" + "}" * 5000
