@@ -4,6 +4,9 @@ Subcommands: ``sim`` (concept similarity), ``select`` (rank target verbs
 for one clause), ``eval`` (accuracy against gold labels), ``freq`` (gold
 label counts).  Data flags default to the bundled example files.
 
+Each subcommand builds its result once, as a JSON document, TSV rows and
+text lines, and ``_emit`` prints the one ``--format`` names.
+
 Exit codes: 0 success, 1 vocabulary gap (no realization within the
 floor), 2 usage or data errors.
 """
@@ -16,28 +19,14 @@ import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from . import bundled
-from .corpus import (
-    Corpus,
-    EvalReport,
-    FreqTable,
-    evaluate_corpus,
-    frequency_table,
-    load_corpus,
-    to_argument_structure,
-)
+from .corpus import Corpus, evaluate_corpus, frequency_table, load_corpus
 from .errors import LexselError, VocabularyGapError, parse_fraction
 from .lexicon import ArgumentStructure, Lexicon, Role, load_lexicon, resolve_mention
 from .matcher import DomainWeights
-from .selector import (
-    DecisionTree,
-    SelectionConfig,
-    Translation,
-    load_decision_tree,
-    translate,
-)
+from .selector import DecisionTree, SelectionConfig, Translation, load_decision_tree, translate
 from .taxonomy import TaxonomyStore, con_sim, least_common_superconcept, load_taxonomy, merge_stores
 
 FORMATS = ("text", "json", "tsv")
@@ -56,6 +45,25 @@ def _fmt(value: Fraction) -> str:
     return f"{float(value):.6f} ({value})"
 
 
+def _exact(name: str, value: Fraction) -> dict:
+    """A JSON field as a float, and again exactly as ``name_exact``."""
+    return {name: float(value), name + "_exact": str(value)}
+
+
+def _tsv(*rows: Sequence[object]) -> list[str]:
+    return ["\t".join(map(str, row)) for row in rows]
+
+
+def _emit(
+    fmt: str, doc: dict, header: Sequence[str], rows: list[tuple], text: Callable[[], list[str]]
+) -> None:
+    """Print one result as indented JSON, as TSV rows under ``header``, or as text."""
+    if fmt == "json":
+        print(json.dumps(doc, indent=2))
+    else:  # never empty: a table has its header, a text result its summary line
+        print("\n".join(_tsv(header, *rows) if fmt == "tsv" else text()))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexsel",
@@ -63,29 +71,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    data = argparse.ArgumentParser(add_help=False)
-    data.add_argument(
-        "--taxonomy",
-        action="append",
-        metavar="PATH",
-        default=None,
-        help="taxonomy document; repeatable; default: bundled domains",
-    )
-    data.add_argument("--lexicon", metavar="PATH", help="lexicon document; default: bundled")
-    data.add_argument(
-        "--format", choices=FORMATS, default="text", help="output format (default: text)"
-    )
+    p_sim = sub.add_parser("sim", help="similarity between two concepts of one domain")
+    p_select = sub.add_parser("select", help="rank target verbs for one clause")
+    p_eval = sub.add_parser("eval", help="accuracy of the pipeline against gold labels")
+    p_freq = sub.add_parser("freq", help="gold target lexeme counts in a corpus")
+    # each subcommand takes only the data flags it reads; usage and --help list them first
+    for p in (p_sim, p_select, p_eval):
+        p.add_argument(
+            "--taxonomy",
+            action="append",
+            metavar="PATH",
+            default=None,
+            help="taxonomy document; repeatable; default: bundled domains",
+        )
+    for p in (p_select, p_eval):
+        p.add_argument("--lexicon", metavar="PATH", help="lexicon document; default: bundled")
+    for p in (p_sim, p_select, p_eval, p_freq):
+        p.add_argument(
+            "--format", choices=FORMATS, default="text", help="output format (default: text)"
+        )
+    for p in (p_eval, p_freq):
+        p.add_argument(
+            "--corpus", metavar="PATH", help="clause corpus (JSON Lines); default: bundled"
+        )
 
-    p_sim = sub.add_parser(
-        "sim", parents=[data], help="similarity between two concepts of one domain"
-    )
     p_sim.add_argument("concept1", help="concept name, or domain:name if ambiguous")
     p_sim.add_argument("concept2")
     p_sim.set_defaults(func=cmd_sim)
 
-    p_select = sub.add_parser(
-        "select", parents=[data], help="rank target verbs for one clause"
-    )
     p_select.add_argument("--lexeme", required=True, help="source verb lexeme")
     p_select.add_argument("--e0", metavar="MENTION", help="agent entity")
     p_select.add_argument("--e1", metavar="MENTION", help="patient entity")
@@ -99,21 +112,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_select.set_defaults(func=cmd_select)
 
-    p_eval = sub.add_parser(
-        "eval", parents=[data], help="accuracy of the pipeline against gold labels"
-    )
-    p_eval.add_argument(
-        "--corpus", metavar="PATH", help="clause corpus (JSON Lines); default: bundled"
-    )
     _selection_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
-    p_freq = sub.add_parser(
-        "freq", parents=[data], help="gold target lexeme counts in a corpus"
-    )
-    p_freq.add_argument(
-        "--corpus", metavar="PATH", help="clause corpus (JSON Lines); default: bundled"
-    )
     p_freq.set_defaults(func=cmd_freq)
     return parser
 
@@ -159,30 +160,27 @@ def _load_store(ns: argparse.Namespace) -> TaxonomyStore:
     return bundled.load_bundled_store()
 
 
-def _load_lexicon(ns: argparse.Namespace, store: TaxonomyStore) -> Lexicon:
+def _load_pipeline(
+    ns: argparse.Namespace,
+) -> tuple[TaxonomyStore, Lexicon, Optional[DecisionTree], SelectionConfig]:
+    store = _load_store(ns)
     if ns.lexicon:
-        return load_lexicon(_read_text(ns.lexicon), store)
-    return bundled.load_bundled_lexicon(store)
-
-
-def _load_tree(
-    ns: argparse.Namespace, store: TaxonomyStore, nominal_domain: str
-) -> Optional[DecisionTree]:
-    if ns.no_tree:
-        return None
-    if ns.tree:
-        return load_decision_tree(_read_text(ns.tree), store, nominal_domain)
-    return bundled.load_bundled_tree(store, nominal_domain)
-
-
-def _config(ns: argparse.Namespace, store: TaxonomyStore) -> SelectionConfig:
+        lexicon = load_lexicon(_read_text(ns.lexicon), store)
+    else:
+        lexicon = bundled.load_bundled_lexicon(store)
+    tree = None
+    if ns.tree and not ns.no_tree:
+        tree = load_decision_tree(_read_text(ns.tree), store, lexicon.nominal_domain)
+    elif not ns.no_tree:
+        tree = bundled.load_bundled_tree(store, lexicon.nominal_domain)
     weights = DomainWeights()
     if ns.weights:
         weights = DomainWeights.from_json(_read_text(ns.weights))
         for name in weights.weights:
             if name not in store.domains:
                 raise LexselError(f"{ns.weights}: no loaded taxonomy defines domain {name!r}")
-    return SelectionConfig(floor=ns.floor, max_candidates=ns.max_candidates, weights=weights)
+    config = SelectionConfig(floor=ns.floor, max_candidates=ns.max_candidates, weights=weights)
+    return store, lexicon, tree, config
 
 
 def _load_corpus_file(ns: argparse.Namespace) -> Corpus:
@@ -194,193 +192,141 @@ def _load_corpus_file(ns: argparse.Namespace) -> Corpus:
 def cmd_sim(ns: argparse.Namespace) -> int:
     store = _load_store(ns)
     c1, c2 = store.resolve(ns.concept1), store.resolve(ns.concept2)
-    metrics = least_common_superconcept(store, c1, c2)
+    m = least_common_superconcept(store, c1, c2)
     sim = con_sim(store, c1, c2)
-    if ns.format == "json":
-        print(
-            json.dumps(
-                {
-                    "concept1": str(c1),
-                    "concept2": str(c2),
-                    "similarity": float(sim),
-                    "similarity_exact": str(sim),
-                    "lcs": str(metrics.lcs),
-                    "n1": metrics.n1,
-                    "n2": metrics.n2,
-                    "n3": metrics.n3,
-                },
-                indent=2,
-            )
-        )
-    elif ns.format == "tsv":
-        print("concept1\tconcept2\tsimilarity\texact\tlcs\tn1\tn2\tn3")
-        print(f"{c1}\t{c2}\t{float(sim):.6f}\t{sim}\t{metrics.lcs}\t"
-              f"{metrics.n1}\t{metrics.n2}\t{metrics.n3}")
-    else:
-        print(f"similarity({c1.name}, {c2.name}) = {_fmt(sim)}")
-        print(
-            f"lcs = {metrics.lcs.name}  n1 = {metrics.n1}  n2 = {metrics.n2}  "
-            f"n3 = {metrics.n3}  [domain {c1.domain}]"
-        )
+    doc = {
+        "concept1": str(c1),
+        "concept2": str(c2),
+        **_exact("similarity", sim),
+        "lcs": str(m.lcs),
+        "n1": m.n1,
+        "n2": m.n2,
+        "n3": m.n3,
+    }
+    _emit(
+        ns.format,
+        doc,
+        "concept1 concept2 similarity exact lcs n1 n2 n3".split(),
+        [(c1, c2, f"{float(sim):.6f}", sim, m.lcs, m.n1, m.n2, m.n3)],
+        lambda: [
+            f"similarity({c1.name}, {c2.name}) = {_fmt(sim)}",
+            f"lcs = {m.lcs.name}  n1 = {m.n1}  n2 = {m.n2}  n3 = {m.n3}  [domain {c1.domain}]",
+        ],
+    )
     return 0
 
 
-def _build_args(
-    ns: argparse.Namespace, store: TaxonomyStore, nominal_domain: str
-) -> ArgumentStructure:
-    bindings = {}
-    for role, mention in ((Role.E0, ns.e0), (Role.E1, ns.e1), (Role.E2, ns.e2)):
-        if mention:
-            bindings[role] = resolve_mention(store, nominal_domain, mention)
-    return ArgumentStructure(
-        source_lexeme=ns.lexeme,
-        bindings=bindings,
-        context_markers=frozenset(ns.marker),
-    )
+def _explanation(result: Translation, lexicon: Lexicon) -> list[str]:
+    """The ``--explain`` lines, rendered from the parts ``translate`` recorded."""
+    action = result.decided_action
+    lines = [
+        f"source sense: {result.source_sense} ({lexicon.senses[result.source_sense].gloss})",
+        "clause meaning: " + "; ".join(s.render() for s in result.inter_rep.slots.values()),
+        f"action decision: {'(tree not consulted)' if action is None else action.name}",
+    ]
+    for r in result.ranking:
+        lines.append(f"candidate {lexicon.senses[r.sense_id].lexeme} [{r.sense_id}] via "
+                     f"{r.via_concept.name} (neighborhood {_fmt(r.neighborhood_sim)})")
+        for part in r.score.domains:
+            left = "-" if part.left is None else part.left.name
+            right = "-" if part.right is None else part.right.name
+            lines.append(f"  domain {part.domain}: weight {part.weight}  "
+                         f"sim {_fmt(part.similarity)}  [{left} vs {right}]")
+        if not r.score.constraints:
+            lines.append("  no constraints: constraint score 1")
+        for d in r.score.constraints:
+            bound = "unbound" if d.bound_to is None else d.bound_to.name
+            lines.append(f"  constraint (is-a {d.constraint.concept.name} "
+                         f"{d.constraint.role}): {_fmt(d.degree)}  [{bound}]")
+    return lines
 
 
-def _translation_payload(result: Translation, lexicon: Lexicon) -> dict:
-    return {
+def cmd_select(ns: argparse.Namespace) -> int:
+    store, lexicon, tree, config = _load_pipeline(ns)
+    mentions = ((Role.E0, ns.e0), (Role.E1, ns.e1), (Role.E2, ns.e2))
+    bindings = {r: resolve_mention(store, lexicon.nominal_domain, m) for r, m in mentions if m}
+    args = ArgumentStructure(ns.lexeme, bindings, frozenset(ns.marker))
+    result = translate(lexicon, store, args, config, tree)
+    ranked = [(i, lexicon.senses[r.sense_id].lexeme, r) for i, r in enumerate(result.ranking, 1)]
+    doc = {
         "translation": result.lexeme,
-        "sense_id": result.sense_id,
+        "sense_id": result.ranking[0].sense_id,
         "gloss": result.gloss,
         "source_sense": result.source_sense,
         "decided_action": None if result.decided_action is None else result.decided_action.name,
         "inter_rep": [slot.render() for slot in result.inter_rep.slots.values()],
         "candidates": [
             {
-                "rank": i + 1,
-                "lexeme": lexicon.senses[r.sense_id].lexeme,
+                "rank": i,
+                "lexeme": lexeme,
                 "sense_id": r.sense_id,
-                "concept_score": float(r.score.concept_score),
-                "concept_score_exact": str(r.score.concept_score),
-                "constraint_score": float(r.score.constraint_score),
-                "constraint_score_exact": str(r.score.constraint_score),
+                **_exact("concept_score", r.score.concept_score),
+                **_exact("constraint_score", r.score.constraint_score),
                 "via_concept": str(r.via_concept),
-                "neighborhood_sim": float(r.neighborhood_sim),
-                "neighborhood_sim_exact": str(r.neighborhood_sim),
+                **_exact("neighborhood_sim", r.neighborhood_sim),
             }
-            for i, r in enumerate(result.ranking)
+            for i, lexeme, r in ranked
         ],
     }
 
-
-def _print_explanation(result: Translation, lexicon: Lexicon) -> None:
-    print(f"source sense: {result.source_sense} ({lexicon.senses[result.source_sense].gloss})")
-    print("clause meaning: " + "; ".join(s.render() for s in result.inter_rep.slots.values()))
-    if result.decided_action is None:
-        print("action decision: (tree not consulted)")
-    else:
-        print(f"action decision: {result.decided_action.name}")
-    for r in result.ranking:
-        sense = lexicon.senses[r.sense_id]
-        print(f"candidate {sense.lexeme} [{r.sense_id}] via {r.via_concept.name} "
-              f"(neighborhood {_fmt(r.neighborhood_sim)})")
-        for part in r.score.domains:
-            left = "-" if part.left is None else part.left.name
-            right = "-" if part.right is None else part.right.name
-            print(f"  domain {part.domain}: weight {part.weight}  "
-                  f"sim {_fmt(part.similarity)}  [{left} vs {right}]")
-        if not r.score.constraints:
-            print("  no constraints: constraint score 1")
-        for d in r.score.constraints:
-            bound = "unbound" if d.bound_to is None else d.bound_to.name
-            print(f"  constraint (is-a {d.constraint.concept.name} {d.constraint.role}): "
-                  f"{_fmt(d.degree)}  [{bound}]")
-
-
-def cmd_select(ns: argparse.Namespace) -> int:
-    store = _load_store(ns)
-    lexicon = _load_lexicon(ns, store)
-    tree = _load_tree(ns, store, lexicon.nominal_domain)
-    config = _config(ns, store)
-    args = _build_args(ns, store, lexicon.nominal_domain)
-    result = translate(lexicon, store, args, config, tree)
-    if ns.format == "json":
-        print(json.dumps(_translation_payload(result, lexicon), indent=2))
-    elif ns.format == "tsv":
-        print("rank\tlexeme\tsense_id\tconcept\tconstraint\tvia\tneighborhood")
-        for i, r in enumerate(result.ranking, start=1):
-            print(f"{i}\t{lexicon.senses[r.sense_id].lexeme}\t{r.sense_id}\t"
-                  f"{r.score.concept_score}\t{r.score.constraint_score}\t"
-                  f"{r.via_concept.name}\t{r.neighborhood_sim}")
-    else:
-        print(f"translation: {result.lexeme} ({result.gloss})")
+    def text() -> list[str]:
+        lines = [f"translation: {result.lexeme} ({result.gloss})"]
         if ns.explain:
-            _print_explanation(result, lexicon)
-        else:
-            for i, r in enumerate(result.ranking, start=1):
-                print(f"{i}. {lexicon.senses[r.sense_id].lexeme:<12} "
-                      f"concept {_fmt(r.score.concept_score)}  "
-                      f"constraint {_fmt(r.score.constraint_score)}  "
-                      f"via {r.via_concept.name}")
+            return lines + _explanation(result, lexicon)
+        return lines + [
+            f"{i}. {lexeme:<12} concept {_fmt(r.score.concept_score)}  "
+            f"constraint {_fmt(r.score.constraint_score)}  via {r.via_concept.name}"
+            for i, lexeme, r in ranked
+        ]
+
+    _emit(
+        ns.format,
+        doc,
+        "rank lexeme sense_id concept constraint via neighborhood".split(),
+        [
+            (i, lexeme, r.sense_id, r.score.concept_score, r.score.constraint_score,
+             r.via_concept.name, r.neighborhood_sim)
+            for i, lexeme, r in ranked
+        ],
+        text,
+    )
     return 0
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    store = _load_store(ns)
-    lexicon = _load_lexicon(ns, store)
-    tree = _load_tree(ns, store, lexicon.nominal_domain)
-    config = _config(ns, store)
-    corpus = _load_corpus_file(ns)
-    report = evaluate_corpus(corpus, lexicon, store, config, tree)
-    if ns.format == "json":
-        print(
-            json.dumps(
-                {
-                    "total": report.total,
-                    "correct": report.correct,
-                    "accuracy": float(report.accuracy),
-                    "accuracy_exact": str(report.accuracy),
-                    "items": [
-                        {
-                            "id": item.id,
-                            "predicted": item.predicted,
-                            "gold": item.gold,
-                            "match": item.match,
-                        }
-                        for item in report.items
-                    ],
-                },
-                indent=2,
-            )
-        )
-    elif ns.format == "tsv":
-        print("id\tpredicted\tgold\tmatch")
-        for item in report.items:
-            predicted = "-" if item.predicted is None else item.predicted
-            print(f"{item.id}\t{predicted}\t{item.gold}\t{str(item.match).lower()}")
-    else:
-        for item in report.items:
-            mark = "ok " if item.match else "MISS"
-            predicted = "-" if item.predicted is None else item.predicted
-            print(f"{mark} {item.id:<8} predicted {predicted:<12} gold {item.gold}")
-        print(f"accuracy: {report.correct}/{report.total} = {float(report.accuracy):.6f}")
+    store, lexicon, tree, config = _load_pipeline(ns)
+    report = evaluate_corpus(_load_corpus_file(ns), lexicon, store, config, tree)
+    items = [(item, "-" if item.predicted is None else item.predicted) for item in report.items]
+    doc = {
+        "total": report.total,
+        "correct": report.correct,
+        **_exact("accuracy", report.accuracy),
+        "items": [
+            {"id": item.id, "predicted": item.predicted, "gold": item.gold, "match": item.match}
+            for item in report.items
+        ],
+    }
+    _emit(
+        ns.format,
+        doc,
+        ("id", "predicted", "gold", "match"),
+        [(item.id, predicted, item.gold, str(item.match).lower()) for item, predicted in items],
+        lambda: [
+            f"{'ok ' if item.match else 'MISS'} {item.id:<8} predicted {predicted:<12} "
+            f"gold {item.gold}"
+            for item, predicted in items
+        ] + [f"accuracy: {report.correct}/{report.total} = {float(report.accuracy):.6f}"],
+    )
     return 0
 
 
 def cmd_freq(ns: argparse.Namespace) -> int:
-    corpus = _load_corpus_file(ns)
-    table = frequency_table(corpus)
-    if ns.format == "json":
-        print(
-            json.dumps(
-                {
-                    "total": table.total(),
-                    "rows": [
-                        {"rank": i + 1, "lexeme": lex, "count": count}
-                        for i, (lex, count) in enumerate(table.rows)
-                    ],
-                },
-                indent=2,
-            )
-        )
-    else:  # text and tsv share the tab layout
-        print("rank\tlexeme\tcount")
-        for i, (lex, count) in enumerate(table.rows, start=1):
-            print(f"{i}\t{lex}\t{count}")
-        if ns.format == "text":
-            print(f"total\t-\t{table.total()}")
+    table = frequency_table(_load_corpus_file(ns))
+    header = ("rank", "lexeme", "count")
+    rows = [(i, lexeme, count) for i, (lexeme, count) in enumerate(table.rows, 1)]
+    doc = {"total": table.total(), "rows": [dict(zip(header, row)) for row in rows]}
+    # the text layout is the TSV table plus a total row
+    _emit(ns.format, doc, header, rows, lambda: _tsv(header, *rows, ("total", "-", table.total())))
     return 0
 
 

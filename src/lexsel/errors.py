@@ -58,10 +58,12 @@ class VocabularyGapError(LexselError):
     """No target realization exists within the neighborhood floor."""
 
 
-def parse_json(text: str, error: type[LexselError], what: str) -> object:
+def parse_json(
+    text: str, error: type[LexselError], what: str, parse_float: type = float
+) -> object:
     """``json.loads``, raising ``error`` on bad or too deeply nested text."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=parse_float)
     except ValueError as exc:  # a syntax error, or an integer too long to convert
         reason = str(exc)
     except RecursionError:

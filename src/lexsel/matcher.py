@@ -13,6 +13,7 @@ exact rationals so equality comparisons in ranking are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -29,10 +30,10 @@ from .taxonomy import ConceptId, TaxonomyStore, con_sim
 
 
 def _as_fraction(value: object, where: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str, Fraction)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str, Decimal)):
         raise MatcherError(f"{where}: weight must be a number, got {value!r}")
     try:
-        return parse_fraction(str(value))  # a float reads exactly as its shortest repr
+        return parse_fraction(str(value))  # a JSON number reads exactly as written
     except (ValueError, ArithmeticError):
         raise MatcherError(f"{where}: cannot read weight {value!r}") from None
 
@@ -56,7 +57,8 @@ class DomainWeights:
 
     @classmethod
     def from_json(cls, text: str) -> "DomainWeights":
-        doc = parse_json(text, MatcherError, "weights document")
+        # JSON numbers read as Decimal, so none rounds or underflows to a float
+        doc = parse_json(text, MatcherError, "weights document", parse_float=Decimal)
         if not isinstance(doc, dict):
             raise MatcherError("weights document must map domain names to numbers")
         default = _as_fraction(doc.pop("default", 1), "weights document")

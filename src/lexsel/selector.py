@@ -95,7 +95,6 @@ ACTION_DOMAIN = "action"  # the domain whose concepts tree leaves name
 @dataclass(frozen=True)
 class DecisionTree:
     root: TreeNode
-    action_domain: str
 
 
 def _parse_tree_node(
@@ -152,7 +151,7 @@ def load_decision_tree(text: str, store: TaxonomyStore, nominal_domain: str) -> 
     if ACTION_DOMAIN not in store.domains:
         raise DecisionTreeFormatError(f"unknown action domain {ACTION_DOMAIN!r}")
     root = _parse_tree_node(doc, store, nominal_domain, "root")
-    return DecisionTree(root=root, action_domain=ACTION_DOMAIN)
+    return DecisionTree(root=root)
 
 
 def decide_action(
@@ -265,14 +264,10 @@ def rerank_by_action(
 
 @dataclass(frozen=True)
 class Translation:
-    """Top pick plus everything needed to explain it."""
+    """Top pick plus everything needed to explain it; ``ranking[0]`` is the pick."""
 
     lexeme: str
-    sense_id: str
     gloss: str
-    score: MatchScore
-    via_concept: ConceptId
-    neighborhood_sim: Fraction
     source_sense: str
     inter_rep: InterRep
     decided_action: Optional[ConceptId]
@@ -296,17 +291,12 @@ def translate(
     if tree is not None and patient is not None:
         action = decide_action(tree, patient.concept, args, store)
         # the action-domain root stands for "no particular action implied"
-        if action.name != store.domain(tree.action_domain).root:
-            ranking = rerank_by_action(ranking, action, lexicon, tree.action_domain)
-    top = ranking[0]
-    chosen = lexicon.senses[top.sense_id]
+        if action.name != store.domain(ACTION_DOMAIN).root:
+            ranking = rerank_by_action(ranking, action, lexicon, ACTION_DOMAIN)
+    chosen = lexicon.senses[ranking[0].sense_id]
     return Translation(
         lexeme=chosen.lexeme,
-        sense_id=chosen.sense_id,
         gloss=chosen.gloss,
-        score=top.score,
-        via_concept=top.via_concept,
-        neighborhood_sim=top.neighborhood_sim,
         source_sense=sense.sense_id,
         inter_rep=inter_rep,
         decided_action=action,

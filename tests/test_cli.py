@@ -1,5 +1,6 @@
 """Command-line behavior: formats, data flags, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -269,6 +270,21 @@ class TestArgparseBehavior:
             main(["select", "--lexeme", "break", "--e1", "vase-1", "--floor", "high"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sim", "vase", "cup", "--lexicon", "/no/such"],
+            ["freq", "--taxonomy", "/no/such"],
+            ["freq", "--lexicon", "/no/such"],
+        ],
+        ids=["sim-lexicon", "freq-taxonomy", "freq-lexicon"],
+    )
+    def test_data_flag_the_subcommand_never_reads_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} /no/such" in capsys.readouterr().err
+
     @pytest.mark.parametrize("floor", ["inf", "1e999999999", "1e-999999999"])
     def test_non_finite_or_huge_floor_exits_2_at_once(self, capsys, floor):
         start = time.perf_counter()
@@ -306,3 +322,100 @@ class TestModuleEntryPoint:
             second = self.run_module(argv)
             assert first.returncode == second.returncode == 0
             assert first.stdout == second.stdout
+
+
+# sha256 of "<exit code>\0<stdout>\0<stderr>" for each command: a change to
+# any byte of any format, or of an error message, fails.
+OUTPUT_SHA256 = {
+    "sim-text": (
+        ["sim", "vase", "cup"],
+        "125d22d4ed3c4682211a4a1b5479086697987b36bc600670e3d999c629186b81",
+    ),
+    "sim-json": (
+        ["sim", "vase", "cup", "--format", "json"],
+        "105eb19cd6f612bb243465aa364f0de1bec3ad08e7d564669c4763f15dc96670",
+    ),
+    "sim-tsv": (
+        ["sim", "%change-of-integrity", "%separate-in-duan-state", "--format", "tsv"],
+        "035123a4b6f6499c145e3bffb1e342076d5558aae0f248f3fda9508f67e7f3dd",
+    ),
+    "select-text": (
+        ["select", "--lexeme", "break", "--e1", "branch-1"],
+        "8fa8eb336c96f36b4ff554ba36cbeff1756827efe41f4dd78dc50c7c1ebcd88f",
+    ),
+    "select-json": (
+        ["select", "--lexeme", "break", "--e1", "branch-1", "--format", "json"],
+        "0946db7487e492a798882fc219b258478f6bf262fc862acce3086b4c91100908",
+    ),
+    "select-tsv": (
+        ["select", "--lexeme", "break", "--e1", "branch-1", "--format", "tsv"],
+        "1c14277d9297bddb4a9aef9d10624fbf8c9b0c300762c93b8373f05006183776",
+    ),
+    "select-explain": (
+        ["select", "--lexeme", "break", "--e0", "john-1", "--e1", "stick-1", "--explain"],
+        "27a2ef4da6d98735db4129efd719473944dd47fc731b41658cbdd83dcef6ed66",
+    ),
+    "select-explain-widened": (
+        ["select", "--lexeme", "hit", "--e0", "bonds-1", "--e1", "price-peak-1", "--explain"],
+        "d0cb2e99c4a38e26ed8591e0f1c9675d168dfb96925a2d6111778f534373217c",
+    ),
+    "select-no-tree": (
+        ["select", "--lexeme", "break", "--e0", "john-1", "--e1", "stick-1", "--no-tree"],
+        "4d562c56c41faf31b9d76f85eb9e1b12af8a83b0b80ba1e77ab39a15a26b69ad",
+    ),
+    "select-no-tree-explain-json": (
+        ["select", "--lexeme", "break", "--e1", "vase-1", "--no-tree", "--explain", "--format",
+         "json"],
+        "af9c1a5cc532ecb9549e7254ed28f5e9907265fb284c4473b558ecf9b8702547",
+    ),
+    "select-explain-tsv-limited": (
+        ["select", "--lexeme", "hit", "--e0", "bonds-1", "--e1", "price-peak-1", "--explain",
+         "--floor", "0.3", "--max-candidates", "3", "--format", "tsv"],
+        "c9ee7602c95da91e87db43f59782c47e0ef415fad47693aff408474427c3f508",
+    ),
+    "eval-text": (
+        ["eval"],
+        "7cdd1f4c04e27c8f124566bf14bb559ffa870c05e56aaf86ffc4d4e051e56ac2",
+    ),
+    "eval-text-misses": (
+        ["eval", "--no-tree"],
+        "4b02b19b5a66174e14431e1ed548aa424c3460cb012faab33e1ed6748b56cf4c",
+    ),
+    "eval-json": (
+        ["eval", "--no-tree", "--format", "json"],
+        "1547cab101f0050b925e63b14155e0f2f97aa82e055c88b447973ad7141924c3",
+    ),
+    "eval-tsv": (
+        ["eval", "--no-tree", "--format", "tsv"],
+        "8bc54d2f9fc3cc1a97b2f76a6a2d19b31a7acd79a57be6ec21fc40d0c46e1beb",
+    ),
+    "freq-text": (
+        ["freq"],
+        "42f0965bc65013154d4332fde30f6b7621edcd27a0b7972e9f98a68cdb313bd0",
+    ),
+    "freq-json": (
+        ["freq", "--format", "json"],
+        "83e3708de0676f836c0e4a7151c549f8d84de3e02232a2348689bef54d993be9",
+    ),
+    "freq-tsv": (
+        ["freq", "--format", "tsv"],
+        "afe6d0d128f4ee8c7fe238cab3636e6aa89f7cf243c00fbcd2db035923e93e34",
+    ),
+    "gap": (
+        ["select", "--lexeme", "break", "--e1", "branch-1", "--floor", "0.81"],
+        "82dea8a3f153221ad02e21b9b65d2536881ec671183bf2bb431e3fa4559c9e5e",
+    ),
+    "data-error": (
+        ["select", "--lexeme", "evaporate", "--e1", "vase-1"],
+        "ce57164de9f4c760c3339875b1c97e20ac9710feaa36fe64a2f3192d5b1f4b40",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
+def test_output_bytes(capsys, name):
+    argv, digest = OUTPUT_SHA256[name]
+    code = main(argv)
+    captured = capsys.readouterr()
+    blob = f"{code}\0{captured.out}\0{captured.err}".encode()
+    assert hashlib.sha256(blob).hexdigest() == digest

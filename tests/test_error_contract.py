@@ -148,6 +148,7 @@ def _load(load, text: str) -> None:
 @settings(max_examples=25, deadline=None)
 @given(text=json_values.map(json.dumps))
 @example(text=HUGE_INTEGER)
+@example(text='{"ch-of-state": 1e-999999999, "default": 1e400}')  # exact weight numbers
 def test_any_json_value_gives_a_result_or_a_lexsel_error(loaders, name, text):
     _load(loaders[name], text)
 

@@ -74,6 +74,15 @@ class TestDomainWeights:
         w = DomainWeights.from_json('{"a": 0.1}')
         assert w.weight("a") == Fraction(1, 10)
 
+    def test_json_numbers_read_exactly(self):
+        # as floats both weights underflowed to 0 and the document read as all-zero
+        w = DomainWeights.from_json('{"ch-of-state": 1e-400, "causation": 1e-400, "default": 0}')
+        assert w.weight("ch-of-state") == w.weight("causation") == Fraction(1, 10**400)
+        start = time.perf_counter()
+        with pytest.raises(MatcherError, match="cannot read weight"):
+            DomainWeights.from_json('{"a": 1e-999999999}')
+        assert time.perf_counter() - start < 1
+
     def test_rejects_negative(self):
         with pytest.raises(MatcherError):
             DomainWeights(weights={"a": Fraction(-1)})

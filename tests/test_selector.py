@@ -37,6 +37,7 @@ from lexsel.bundled import (
     LEXICON_FILE,
     TREE_FILE,
 )
+from lexsel.selector import TreeLeaf, TreeTest
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +100,8 @@ class TestDecideAction:
 class TestTreeLoader:
     def test_bundled_tree_loads(self, store):
         tree = load_decision_tree(bundled_text(TREE_FILE), store, "entity")
-        assert tree.action_domain == "action"
+        assert tree.root.test == TreeTest(kind="has-marker", value="into-pieces")
+        assert tree.root.then == TreeLeaf(action=action("%hit-action"))
 
     def test_plain_leaf(self, store):
         tree = load_decision_tree('{"action": "%hit-action"}', store, "entity")
@@ -314,7 +316,7 @@ class TestTranslate:
         t = self.expect(lexicon, store, tree, {"e1": "branch-1"}, "break", "duan-la")
         assert t.lexeme == "duan-la"
         assert t.decided_action == action("%action")
-        assert t.score == MatchScore(Fraction(4, 5), Fraction(1))
+        assert t.ranking[0].score == MatchScore(Fraction(4, 5), Fraction(1))
 
     def test_agent_and_stick(self, lexicon, store, tree):
         t = self.expect(
@@ -334,7 +336,7 @@ class TestTranslate:
         )
         assert t.lexeme == "da-duan"
         assert t.decided_action == action("%hit-action")
-        assert t.score == MatchScore(Fraction(3, 5), Fraction(1))
+        assert t.ranking[0].score == MatchScore(Fraction(3, 5), Fraction(1))
 
     def test_natural_force_agent(self, lexicon, store, tree):
         t = self.expect(
@@ -343,14 +345,14 @@ class TestTranslate:
         assert t.lexeme == "gua-duan"
         # the root action implies nothing, so the constraint winner stays
         assert t.decided_action == action("%action")
-        assert t.score == MatchScore(Fraction(9, 10), Fraction(1))
+        assert t.ranking[0].score == MatchScore(Fraction(9, 10), Fraction(1))
 
     def test_brittle_patient(self, lexicon, store, tree):
         t = self.expect(
             lexicon, store, tree, {"e0": "john-1", "e1": "vase-1"}, "break", "da-sui"
         )
         assert t.lexeme == "da-sui"
-        assert t.score == MatchScore(Fraction(9, 10), Fraction(1))
+        assert t.ranking[0].score == MatchScore(Fraction(9, 10), Fraction(1))
 
     def test_functional_patient_switches_source_sense(self, lexicon, store, tree):
         t = self.expect(
@@ -363,7 +365,7 @@ class TestTranslate:
         )
         assert t.lexeme == "da-po"
         assert t.source_sense == "BREAK-2"
-        assert t.score == MatchScore(Fraction(1), Fraction(1))
+        assert t.ranking[0].score == MatchScore(Fraction(1), Fraction(1))
 
     def test_social_patient(self, lexicon, store, tree):
         t = self.expect(
@@ -371,14 +373,14 @@ class TestTranslate:
         )
         assert t.lexeme == "jue-lie"
         assert t.source_sense == "BREAK-3"
-        assert t.score == MatchScore(Fraction(1), Fraction(1))
+        assert t.ranking[0].score == MatchScore(Fraction(1), Fraction(1))
 
     def test_value_patient_through_two_neighborhoods(self, lexicon, store, tree):
         t = self.expect(
             lexicon, store, tree, {"e0": "bonds-1", "e1": "price-peak-1"}, "hit", "da-dao"
         )
         assert t.lexeme == "da-dao"
-        assert t.score == MatchScore(Fraction(1, 3), Fraction(1))
+        assert t.ranking[0].score == MatchScore(Fraction(1, 3), Fraction(1))
 
     def test_without_tree_constraint_order_decides(self, lexicon, store):
         args = args_for(store, "break", e0="john-1", e1="stick-1")
@@ -395,7 +397,7 @@ class TestTranslate:
         assert t.lexeme == "ya-sui"
         without = translate(lexicon, store, args, SelectionConfig(), tree=None)
         assert without.lexeme == "da-sui"
-        assert without.score == t.score
+        assert without.ranking[0].score == t.ranking[0].score
 
     def test_marker_forces_the_pieces_verb(self, lexicon, store, tree):
         args = args_for(
