@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import MatcherError, parse_fraction, parse_json
@@ -28,6 +29,18 @@ from .lexicon import (
 )
 from .taxonomy import ConceptId, TaxonomyStore, con_sim
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+# a domain union's integer weight total, and each domain's integer weight and share
+_Shares = tuple[int, tuple[tuple[int, Fraction], ...]]
+
+
+def _check_weight(value: object, where: str) -> None:
+    # only exact numbers keep every score an exact rational
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise MatcherError(f"{where} must be an int or a Fraction, got {value!r}")
+    if value < 0:
+        raise MatcherError(f"{where} is negative")
+
 
 def _as_fraction(value: object, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, float, str, Decimal)):
@@ -40,20 +53,47 @@ def _as_fraction(value: object, where: str) -> Fraction:
 
 @dataclass(frozen=True)
 class DomainWeights:
-    """Per-domain weights; unlisted domains get ``default_weight``."""
+    """Per-domain weights; unlisted domains get ``default_weight``.
+
+    Every weight is a non-negative int or ``Fraction``.
+    """
 
     weights: Mapping[str, Fraction] = field(default_factory=dict)
     default_weight: Fraction = Fraction(1)
+    # sorted domain union -> its shares; the weights are read once per union
+    _shares: dict[tuple[str, ...], _Shares] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
+        if not isinstance(self.weights, Mapping):
+            raise MatcherError(f"weights must map domain names to weights, got {self.weights!r}")
         for name, w in self.weights.items():
-            if w < 0:
-                raise MatcherError(f"weight for domain {name!r} is negative")
-        if self.default_weight < 0:
-            raise MatcherError("default weight is negative")
+            _check_weight(w, f"weight for domain {name!r}")
+        _check_weight(self.default_weight, "default weight")
 
     def weight(self, domain: str) -> Fraction:
         return self.weights.get(domain, self.default_weight)
+
+    def _normalized(self, union: tuple[str, ...]) -> _Shares:
+        """Integer weights over a sorted domain union, their sum, and each share.
+
+        The weights are scaled by the least common multiple of their
+        denominators, so ``share == weight / total`` exactly.  A union whose
+        weights are all zero raises each time it is asked for.
+        """
+        cached = self._shares.get(union)
+        if cached is not None:
+            return cached
+        raw = [self.weight(d) for d in union]
+        scale = lcm(*(w.denominator for w in raw))
+        ints = [w.numerator * (scale // w.denominator) for w in raw]
+        total = sum(ints)
+        if total == 0:
+            raise MatcherError(f"all weights are zero over domains {', '.join(union)}")
+        cached = total, tuple((w, Fraction(w, total)) for w in ints)
+        self._shares[union] = cached
+        return cached
 
     @classmethod
     def from_json(cls, text: str) -> "DomainWeights":
@@ -87,26 +127,25 @@ def word_sim_breakdown(
 
     Both mappings are keyed by domain; every slot in them names a concept.
     """
-    union = sorted(left.keys() | right.keys())
+    union = tuple(sorted(left.keys() | right.keys()))
     if not union:
-        return Fraction(0), ()
-    total = sum((weights.weight(d) for d in union), Fraction(0))
-    if total == 0:
-        raise MatcherError(
-            f"all weights are zero over domains {', '.join(union)}"
-        )
-    score = Fraction(0)
+        return _ZERO, ()
+    total, shares = weights._normalized(union)
+    num, den = 0, 1  # sum of weight * similarity so far, as num / den
     parts: list[DomainContribution] = []
-    for domain in union:
+    for domain, (w, share) in zip(union, shares):
         ca = left[domain].concept if domain in left else None
         cb = right[domain].concept if domain in right else None
-        sim = con_sim(store, ca, cb) if ca is not None and cb is not None else Fraction(0)
-        share = weights.weight(domain) / total
-        score += share * sim
+        if ca is None or cb is None:
+            sim = _ZERO
+        else:
+            sim = con_sim(store, ca, cb)
+            d = sim.denominator
+            num, den = num * d + w * sim.numerator * den, den * d
         parts.append(
             DomainContribution(domain=domain, weight=share, similarity=sim, left=ca, right=cb)
         )
-    return score, tuple(parts)
+    return Fraction(num, den * total), tuple(parts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,9 +166,9 @@ def constraint_degrees(
     for constraint in sense.constraints:
         binding = args.bindings.get(constraint.role)
         if binding is None:
-            out.append(ConstraintDegree(constraint, Fraction(0), None))
+            out.append(ConstraintDegree(constraint, _ZERO, None))
         elif store.is_a(binding.concept, constraint.concept):
-            out.append(ConstraintDegree(constraint, Fraction(1), binding.concept))
+            out.append(ConstraintDegree(constraint, _ONE, binding.concept))
         else:
             degree = con_sim(store, binding.concept, constraint.concept)
             out.append(ConstraintDegree(constraint, degree, binding.concept))
@@ -139,8 +178,12 @@ def constraint_degrees(
 def constraint_satisfaction(degrees: Sequence[ConstraintDegree]) -> Fraction:
     """Arithmetic mean of per-constraint degrees; 1 when unconstrained."""
     if not degrees:
-        return Fraction(1)
-    return sum((d.degree for d in degrees), Fraction(0)) / len(degrees)
+        return _ONE
+    num, den = 0, 1
+    for d in degrees:
+        q = d.degree.denominator
+        num, den = num * q + d.degree.numerator * den, den * q
+    return Fraction(num, den * len(degrees))
 
 
 @dataclass(frozen=True, order=True)

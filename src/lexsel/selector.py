@@ -39,6 +39,8 @@ from .matcher import (
 )
 from .taxonomy import ConceptId, TaxonomyStore, neighborhood
 
+_EXACT = Fraction(1)  # the neighborhood similarity of an exact realization
+
 
 @dataclass(frozen=True)
 class SelectionConfig:
@@ -185,7 +187,7 @@ def _gather_candidates(
         exact = lexicon.realization_ids(concept)
         if exact:
             for sense_id in exact:
-                offer(sense_id, concept, Fraction(1))
+                offer(sense_id, concept, _EXACT)
             continue
         for neighbor, sim in neighborhood(store, concept, config.max_candidates, config.floor):
             for sense_id in lexicon.realization_ids(neighbor):
@@ -228,13 +230,12 @@ def rank_candidates(
                 sense_id=sense_id, score=score, via_concept=via, neighborhood_sim=sim
             )
         )
+    # scores descending, ties by sense id: a reversed sort keeps equal keys
+    # in their input order, so sorting by id first settles the ties
+    results.sort(key=lambda r: r.sense_id)
     results.sort(
-        key=lambda r: (
-            -r.score.concept_score,
-            -r.score.constraint_score,
-            -r.neighborhood_sim,
-            r.sense_id,
-        )
+        key=lambda r: (r.score.concept_score, r.score.constraint_score, r.neighborhood_sim),
+        reverse=True,
     )
     return results
 

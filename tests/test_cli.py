@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from lexsel import cli
 from lexsel.cli import main
 
 
@@ -284,6 +285,15 @@ class TestArgparseBehavior:
             main(argv)
         assert err.value.code == 2
         assert f"unrecognized arguments: {argv[-2]} /no/such" in capsys.readouterr().err
+
+    def test_a_command_patched_after_the_first_call_still_runs(self, capsys, monkeypatch):
+        # the parser is built once per process; the command is looked up per call
+        assert run(capsys, "freq")[0] == 0
+        calls = []
+        real = cli.cmd_freq
+        monkeypatch.setattr(cli, "cmd_freq", lambda ns: calls.append(ns.command) or real(ns))
+        assert run(capsys, "freq")[0] == 0
+        assert calls == ["freq"]
 
     @pytest.mark.parametrize("floor", ["inf", "1e999999999", "1e-999999999"])
     def test_non_finite_or_huge_floor_exits_2_at_once(self, capsys, floor):

@@ -3,6 +3,7 @@
 import json
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -20,13 +21,23 @@ from lexsel import (
     SlotStatus,
     build_inter_rep,
     candidate_slots,
+    con_sim,
     constraint_degrees,
     constraint_satisfaction,
+    disambiguate,
     inexact_match,
+    load_corpus,
     resolve_mention,
+    to_argument_structure,
     word_sim_breakdown,
 )
-from lexsel.bundled import load_bundled_lexicon, load_bundled_store
+from lexsel.bundled import (
+    CORPUS_FILE,
+    COUNTS_FILE,
+    bundled_text,
+    load_bundled_lexicon,
+    load_bundled_store,
+)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +110,24 @@ class TestDomainWeights:
         with pytest.raises(MatcherError, match="weights document is not valid JSON"):
             DomainWeights.from_json('{"a":' * 5000 + "1" + "}" * 5000)
 
+    @pytest.mark.parametrize(
+        "value", [0.1, float("nan"), float("inf"), "x", None, True, Decimal("0.5")]
+    )
+    def test_rejects_inexact_weights(self, value):
+        # a float weight made every concept score a float; "x" and None leaked TypeError
+        with pytest.raises(MatcherError, match="weight for domain 'causation' must be an int"):
+            DomainWeights({"causation": value})
+        with pytest.raises(MatcherError, match="default weight must be an int"):
+            DomainWeights(default_weight=value)
+
+    def test_rejects_a_weights_object_that_is_not_a_mapping(self):
+        with pytest.raises(MatcherError, match="weights must map domain names"):
+            DomainWeights(weights=[("causation", 1)])
+
+    def test_accepts_ints_and_fractions(self):
+        w = DomainWeights({"causation": 2, "ch-of-state": Fraction(1, 3)}, default_weight=0)
+        assert w.weight("causation") == 2 and w.weight("other") == 0
+
     @pytest.mark.parametrize("text", ["inf", "1e999999999", "1e-999999999"])
     def test_rejects_non_finite_or_huge_weight_at_once(self, text):
         start = time.perf_counter()
@@ -162,6 +191,15 @@ class TestWordSimilarity:
         zero = DomainWeights(default_weight=Fraction(0))
         with pytest.raises(MatcherError, match="all weights are zero"):
             word_sim_breakdown(a, a, zero, store)
+
+    def test_all_zero_weights_rejected_on_every_call(self, store):
+        a = proj(slot("ch-of-state", "%change-of-integrity"))
+        b = proj(slot("causation", "%cause"))
+        weights = DomainWeights({"causation": 1}, default_weight=0)
+        for _ in range(2):
+            with pytest.raises(MatcherError, match="all weights are zero"):
+                word_sim_breakdown(a, a, weights, store)
+        assert word_sim_breakdown(b, b, weights, store)[0] == 1
 
     def test_breakdown_shares_sum_to_one(self, store):
         a = proj(
@@ -338,3 +376,65 @@ class TestWeightsDocumentRoundTrip:
         w = DomainWeights.from_json(json.dumps(doc))
         assert w.weight("ch-of-state") == 2
         assert w.weight("space") == 1
+
+
+# exact weights: zero, small ints, and fractions with large numerators and denominators
+WEIGHT = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(0, 5),
+    st.builds(Fraction, st.integers(0, 10**30), st.integers(1, 10**30)),
+)
+
+
+class TestArithmeticOracle:
+    """Scores against the naive ``Fraction`` sums, computed here."""
+
+    @pytest.fixture(scope="class")
+    def meanings(self, store, lexicon):
+        out = []
+        for name in (CORPUS_FILE, COUNTS_FILE):
+            for i, record in enumerate(load_corpus(bundled_text(name)).records):
+                args = to_argument_structure(record, store, lexicon.nominal_domain)
+                sense = disambiguate(lexicon, args, store)
+                out.append((build_inter_rep(sense, args, f"s{i}"), args))
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_scores_equal_the_naive_sums(self, meanings, lexicon, store, data):
+        weights = DomainWeights(
+            data.draw(st.dictionaries(st.sampled_from(sorted(store.domains)), WEIGHT)),
+            data.draw(WEIGHT),
+        )
+        senses = sorted(lexicon.senses.values(), key=lambda s: s.sense_id)
+        # several pairs per weights object, so shares worked out once are reused
+        pairs = data.draw(
+            st.lists(st.tuples(st.sampled_from(meanings), st.sampled_from(senses)), max_size=6)
+        )
+        for (inter_rep, args), sense in pairs:
+            left, right = inter_rep.slots, candidate_slots(inter_rep, sense)
+            union = sorted(left.keys() | right.keys())
+            total = sum((Fraction(weights.weight(d)) for d in union), Fraction(0))
+            if union and total == 0:
+                with pytest.raises(MatcherError, match="all weights are zero"):
+                    word_sim_breakdown(left, right, weights, store)
+            else:
+                shares = [weights.weight(d) / total for d in union]
+                sims = [
+                    con_sim(store, left[d].concept, right[d].concept)
+                    if d in left and d in right
+                    else Fraction(0)
+                    for d in union
+                ]
+                score, parts = word_sim_breakdown(left, right, weights, store)
+                assert type(score) is Fraction
+                assert score == sum((w * x for w, x in zip(shares, sims)), Fraction(0))
+                assert [p.weight for p in parts] == shares
+                assert [p.similarity for p in parts] == sims
+            degrees = constraint_degrees(sense, args, store)
+            fit = constraint_satisfaction(degrees)
+            assert type(fit) is Fraction
+            if degrees:
+                assert fit == sum((d.degree for d in degrees), Fraction(0)) / len(degrees)
+            else:
+                assert fit == 1

@@ -2,8 +2,11 @@
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexsel import (
     ArgumentStructure,
@@ -14,13 +17,16 @@ from lexsel import (
     Role,
     SelectionConfig,
     VocabularyGapError,
+    build_inter_rep,
     candidate_slots,
     constraint_degrees,
     decide_action,
+    disambiguate,
     load_corpus,
     load_decision_tree,
     load_lexicon,
     load_taxonomy,
+    rank_candidates,
     rerank_by_action,
     resolve_mention,
     to_argument_structure,
@@ -278,6 +284,51 @@ class TestScoreRecord:
                     assert r.score.constraints == constraint_degrees(sense, args, store)
                     candidates += 1
         assert clauses == 162 and candidates > clauses
+
+
+class TestRankingOrder:
+    @pytest.fixture(scope="class")
+    def clauses(self, store, lexicon):
+        return [
+            to_argument_structure(record, store, lexicon.nominal_domain)
+            for name in (CORPUS_FILE, COUNTS_FILE)
+            for record in load_corpus(bundled_text(name)).records
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_order_equals_the_negated_key_sort(self, clauses, lexicon, store, data):
+        # scores from a few levels, so candidates tie on one, two or all three keys
+        levels = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+        scores = {
+            sense_id: MatchScore(data.draw(levels), data.draw(levels))
+            for sense_id in sorted(lexicon.senses)
+        }
+        config = SelectionConfig(
+            floor=data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2)])),
+            max_candidates=data.draw(st.integers(1, 12)),
+        )
+        args = data.draw(st.sampled_from(clauses))
+        inter_rep = build_inter_rep(disambiguate(lexicon, args, store), args, "s1")
+
+        def fake(inter_rep, sense, args, weights, store):
+            return scores[sense.sense_id]
+
+        with mock.patch("lexsel.selector.inexact_match", fake):
+            try:
+                ranking = rank_candidates(lexicon, store, inter_rep, args, config)
+            except VocabularyGapError:
+                return
+        expected = sorted(
+            ranking,
+            key=lambda r: (
+                -r.score.concept_score,
+                -r.score.constraint_score,
+                -r.neighborhood_sim,
+                r.sense_id,
+            ),
+        )
+        assert [r.sense_id for r in ranking] == [r.sense_id for r in expected]
 
 
 class TestRerankByAction:
