@@ -28,7 +28,7 @@ from .errors import LexselError, VocabularyGapError, parse_fraction
 from .lexicon import ArgumentStructure, Lexicon, Role, load_lexicon, resolve_mention
 from .matcher import DomainWeights
 from .selector import DecisionTree, SelectionConfig, Translation, load_decision_tree, translate
-from .taxonomy import TaxonomyStore, con_sim, least_common_superconcept, load_taxonomy, merge_stores
+from .taxonomy import TaxonomyStore, least_common_superconcept, load_taxonomy, merge_stores
 
 FORMATS = ("text", "json", "tsv")
 
@@ -190,7 +190,7 @@ def cmd_sim(ns: argparse.Namespace) -> int:
     store = _load_store(ns)
     c1, c2 = store.resolve(ns.concept1), store.resolve(ns.concept2)
     m = least_common_superconcept(store, c1, c2)
-    sim = con_sim(store, c1, c2)
+    sim = m.similarity
     doc = {
         "concept1": str(c1),
         "concept2": str(c2),

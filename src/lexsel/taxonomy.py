@@ -30,6 +30,11 @@ class ConceptId(NamedTuple):
         return f"{self.domain}:{self.name}"
 
 
+def _similarity(edges: int, depth: int) -> Fraction:
+    """``2 * n3 / (n1 + n2 + 2 * n3)`` with ``edges = n1 + n2`` and ``depth = n3``."""
+    return Fraction(2 * depth, edges + 2 * depth)
+
+
 class PathMetrics(NamedTuple):
     """Path counts underlying one similarity value."""
 
@@ -37,6 +42,10 @@ class PathMetrics(NamedTuple):
     n2: int
     n3: int
     lcs: "ConceptId"
+
+    @property
+    def similarity(self) -> Fraction:
+        return _similarity(self.n1 + self.n2, self.n3)
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,7 @@ class DomainTaxonomy:
     domain: str
     nodes: dict[str, ConceptNode]
     root: str
-    depth: dict[str, int] = field(repr=False)
+    depth: dict[str, int] = field(repr=False)  # insertion order lists parents first
     up: dict[str, dict[str, int]] = field(repr=False)  # min edges to each ancestor
 
     @classmethod
@@ -275,8 +284,7 @@ def least_common_superconcept(
 
 def con_sim(store: TaxonomyStore, c1: ConceptId, c2: ConceptId) -> Fraction:
     """Exact similarity in (0, 1]; 1 iff the concepts are identical."""
-    m = least_common_superconcept(store, c1, c2)
-    return Fraction(2 * m.n3, m.n1 + m.n2 + 2 * m.n3)
+    return least_common_superconcept(store, c1, c2).similarity
 
 
 def neighborhood(
@@ -289,6 +297,15 @@ def neighborhood(
 
     Sorted by similarity descending, ties by concept name, truncated to
     ``max_size``.  The concept itself is excluded.
+
+    One top-down pass over the domain, parents first, gives every concept
+    x the key ``(-n3, n1 + n2)`` of its least common superconcept with
+    ``concept``.  An ancestor of ``concept`` is its own LCS.  Any other x
+    shares exactly the ancestors its parents share, one edge further away,
+    so its key is the smallest parent key with one edge added: the LCS
+    rule is deepest first, then fewest edges.  Distinct keys can give the
+    same similarity, so concepts are grouped by the exact ``Fraction``,
+    and names are sorted within each group.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
@@ -296,13 +313,24 @@ def neighborhood(
         raise ValueError(f"floor must be within [0, 1], got {floor}")
     dom = store.domain(concept.domain)
     dom.require(concept.name)
-    scored = []
-    for name in dom.nodes:
-        if name == concept.name:
-            continue
-        other = ConceptId(concept.domain, name)
-        sim = con_sim(store, concept, other)
-        if sim >= floor:
-            scored.append((other, sim))
-    scored.sort(key=lambda pair: (-pair[1], pair[0].name))
+    up, nodes = dom.up[concept.name], dom.nodes
+    keys: dict[str, tuple[int, int]] = {}
+    for name, depth in dom.depth.items():  # parents before children
+        if name in up:
+            keys[name] = (-depth, up[name])
+        else:
+            neg_depth, edges = min(map(keys.__getitem__, nodes[name].parents))
+            keys[name] = (neg_depth, edges + 1)
+    del keys[concept.name]
+    by_key: dict[tuple[int, int], list[str]] = {}
+    for name, key in keys.items():
+        by_key.setdefault(key, []).append(name)
+    by_sim: dict[Fraction, list[str]] = {}
+    for (neg_depth, edges), names in by_key.items():
+        by_sim.setdefault(_similarity(edges, -neg_depth), []).extend(names)
+    scored: list[tuple[ConceptId, Fraction]] = []
+    for sim in sorted(by_sim, reverse=True):
+        if sim < floor or len(scored) >= max_size:
+            break
+        scored += [(ConceptId(concept.domain, name), sim) for name in sorted(by_sim[sim])]
     return scored[:max_size]

@@ -84,6 +84,21 @@ def oracle_con_sim(parents: dict[str, tuple[str, ...]], a: str, b: str) -> Fract
     return Fraction(2 * n3, n1 + n2 + 2 * n3)
 
 
+def oracle_neighborhood(
+    parents: dict[str, tuple[str, ...]], concept: str, max_size: int, floor: Fraction
+) -> list[tuple[str, Fraction]]:
+    """Full scan: every other concept's oracle similarity, kept if >= floor,
+    sorted by similarity descending and then by name, truncated."""
+    scored = []
+    for name in parents:
+        if name != concept:
+            sim = oracle_con_sim(parents, concept, name)
+            if sim >= floor:
+                scored.append((name, sim))
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:max_size]
+
+
 def as_taxonomy_doc(parents: dict[str, tuple[str, ...]], domain: str = "synthetic") -> dict:
     """Shape the parent map like a taxonomy document for the loader."""
     return {

@@ -13,6 +13,7 @@ from dag_oracle import (
     oracle_con_sim,
     oracle_depth,
     oracle_lcs,
+    oracle_neighborhood,
     oracle_up_distances,
     random_rooted_dag,
 )
@@ -135,6 +136,7 @@ class TestBuild:
         leaf = f"c{length - 1}"
         assert dom.depth[leaf] == length
         assert dom.up[leaf] == {f"c{i}": length - 1 - i for i in range(length)}
+        assert list(dom.depth) == [f"c{i}" for i in range(length)]
 
     @pytest.mark.parametrize(
         "parents",
@@ -193,6 +195,25 @@ class TestNeighborhood:
             "%change-of-state",
         ]
         assert sims == [Fraction(4, 5)] * 6 + [Fraction(2, 3)]
+
+    @pytest.mark.parametrize("deep", ["y", "zz"])
+    def test_equal_similarity_through_different_depths_sorts_by_name(self, deep):
+        # `deep` meets c at r (depth 4, 2 edges), z at z itself (depth 2,
+        # 1 edge): both 4/5, so their names order them, whichever way the
+        # (depth, edges) keys would.
+        parents = {
+            "root": (), "z": ("root",), "p": ("root",), "q": ("p",),
+            "r": ("q",), "c": ("r", "z"), deep: ("r",),
+        }
+        got = neighborhood(store_from(parents), small_id("c"), max_size=10, floor=0)
+        assert got == [
+            (small_id(name), sim)
+            for name, sim in oracle_neighborhood(parents, "c", 10, Fraction(0))
+        ]
+        assert got[:3] == [
+            (small_id("r"), Fraction(8, 9)),
+            *((small_id(name), Fraction(4, 5)) for name in sorted([deep, "z"])),
+        ]
 
     def test_rejects_bad_parameters(self):
         store = store_from(SMALL)
@@ -338,6 +359,33 @@ def check_indices_against_oracle(seed: int) -> None:
     for name in parents:
         assert dom.depth[name] == oracle_depth(parents, name), f"seed={seed} node={name}"
         assert dom.up[name] == oracle_up_distances(parents, name), f"seed={seed} node={name}"
+    assert_parents_first(dom)
+
+
+def assert_parents_first(dom) -> None:
+    """``depth``'s insertion order lists every concept after its parents."""
+    position = {name: i for i, name in enumerate(dom.depth)}
+    assert position.keys() == dom.nodes.keys()
+    for name, node in dom.nodes.items():
+        assert all(position[p] < position[name] for p in node.parents), name
+
+
+def check_neighborhood_against_oracle(seed: int) -> None:
+    """Every centre, floor and size of one random DAG, listed shuffled."""
+    rng = random.Random(seed)
+    parents = random_rooted_dag(rng, max_nodes=24)
+    order = list(parents)
+    rng.shuffle(order)
+    store = store_from({name: parents[name] for name in order})
+    floors = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(4, 5), Fraction(1))
+    for concept in parents:
+        for floor in floors:
+            full = oracle_neighborhood(parents, concept, len(parents), floor)
+            for size in sorted({1, 3, 10, len(parents)}):
+                got = neighborhood(store, small_id(concept), size, floor)
+                assert [(c.name, s) for c, s in got] == full[:size], (
+                    f"seed={seed} concept={concept} size={size} floor={floor}"
+                )
 
 
 class TestAgainstBruteForce:
@@ -348,6 +396,10 @@ class TestAgainstBruteForce:
     def test_shuffled_random_dag_indices(self):
         for seed in range(150):
             check_indices_against_oracle(seed)
+
+    def test_shuffled_random_dag_neighborhoods(self):
+        for seed in range(150):
+            check_neighborhood_against_oracle(seed)
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=60, deadline=None)
