@@ -350,24 +350,20 @@ def check_against_oracle(seed: int, pairs: int = 10) -> None:
 
 
 def check_indices_against_oracle(seed: int) -> None:
-    """Every node's depth and up-distances, with concepts listed shuffled."""
+    """Every node's depth, up-distances and place in ``depth``'s order,
+    with concepts listed shuffled."""
     rng = random.Random(seed)
     parents = random_rooted_dag(rng)
     order = list(parents)
     rng.shuffle(order)
     dom = store_from({name: parents[name] for name in order}).domain("synthetic")
+    position = {name: i for i, name in enumerate(dom.depth)}  # lists parents first
     for name in parents:
         assert dom.depth[name] == oracle_depth(parents, name), f"seed={seed} node={name}"
         assert dom.up[name] == oracle_up_distances(parents, name), f"seed={seed} node={name}"
-    assert_parents_first(dom)
-
-
-def assert_parents_first(dom) -> None:
-    """``depth``'s insertion order lists every concept after its parents."""
-    position = {name: i for i, name in enumerate(dom.depth)}
-    assert position.keys() == dom.nodes.keys()
-    for name, node in dom.nodes.items():
-        assert all(position[p] < position[name] for p in node.parents), name
+        assert all(position[p] < position[name] for p in parents[name]), (
+            f"seed={seed} node={name}"
+        )
 
 
 def check_neighborhood_against_oracle(seed: int) -> None:
