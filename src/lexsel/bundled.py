@@ -13,11 +13,12 @@ LEXICON_FILE = "lexicon.json"
 TREE_FILE = "action_tree.json"
 CORPUS_FILE = "corpus.jsonl"
 COUNTS_FILE = "translation_counts.jsonl"
+_DATA = resources.files(__package__).joinpath("data")
 
 
 def bundled_path(name: str):
     """Traversable for a data file; a real path under a normal install."""
-    return resources.files(__package__).joinpath("data", name)
+    return _DATA.joinpath(name)
 
 
 def bundled_text(name: str) -> str:

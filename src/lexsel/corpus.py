@@ -18,6 +18,8 @@ from .lexicon import ArgumentStructure, Lexicon, Role, resolve_mention
 from .selector import DecisionTree, SelectionConfig, translate
 from .taxonomy import TaxonomyStore
 
+_ROLES = {r.value: r for r in Role}  # role order
+
 
 @dataclass(frozen=True)
 class CorpusRecord:
@@ -71,46 +73,41 @@ def load_corpus(text: str) -> Corpus:
     return Corpus(markers=markers, records=tuple(records), note=note)
 
 
+def _error(lineno: int, message: str) -> CorpusFormatError:
+    return CorpusFormatError(f"line {lineno}: {message}")
+
+
 def _parse_record(raw: dict, lineno: int, markers: frozenset[str]) -> CorpusRecord:
-    where = f"line {lineno}"
     rid = raw.get("id")
     if not isinstance(rid, str) or not rid:
-        raise CorpusFormatError(f"{where}: record needs a non-empty id")
+        raise _error(lineno, "record needs a non-empty id")
     lexeme = raw.get("source_lexeme")
     if not isinstance(lexeme, str) or not lexeme:
-        raise CorpusFormatError(f"{where}: record {rid!r} needs a source_lexeme")
+        raise _error(lineno, f"record {rid!r} needs a source_lexeme")
     bindings_raw = raw.get("bindings", {})
     if not isinstance(bindings_raw, dict):
-        raise CorpusFormatError(f"{where}: record {rid!r} bindings must be an object")
+        raise _error(lineno, f"record {rid!r} bindings must be an object")
     bindings: list[tuple[Role, str]] = []
-    for role in Role:
-        if role.value in bindings_raw:
-            mention = bindings_raw[role.value]
+    for name, role in _ROLES.items():
+        if name in bindings_raw:
+            mention = bindings_raw[name]
             if not isinstance(mention, str) or not mention:
-                raise CorpusFormatError(
-                    f"{where}: record {rid!r} binding {role.value} must be a string"
-                )
+                raise _error(lineno, f"record {rid!r} binding {name} must be a string")
             bindings.append((role, mention))
-    extra = set(bindings_raw) - {r.value for r in Role}
-    if extra:
-        raise CorpusFormatError(
-            f"{where}: record {rid!r} has unknown roles {sorted(extra)}"
-        )
+    if len(bindings) != len(bindings_raw):
+        extra = sorted(set(bindings_raw) - _ROLES.keys())
+        raise _error(lineno, f"record {rid!r} has unknown roles {extra}")
     context_raw = raw.get("context", [])
     if not isinstance(context_raw, list):
-        raise CorpusFormatError(f"{where}: record {rid!r} context must be a list")
+        raise _error(lineno, f"record {rid!r} context must be a list")
     for marker in context_raw:
         if not isinstance(marker, str):
-            raise CorpusFormatError(
-                f"{where}: record {rid!r} context markers must be strings"
-            )
+            raise _error(lineno, f"record {rid!r} context markers must be strings")
         if marker not in markers:
-            raise CorpusFormatError(
-                f"{where}: record {rid!r} uses undeclared marker {marker!r}"
-            )
+            raise _error(lineno, f"record {rid!r} uses undeclared marker {marker!r}")
     gold = raw.get("gold")
     if gold is not None and (not isinstance(gold, str) or not gold):
-        raise CorpusFormatError(f"{where}: record {rid!r} gold must be a non-empty string")
+        raise _error(lineno, f"record {rid!r} gold must be a non-empty string")
     return CorpusRecord(
         id=rid,
         source_lexeme=lexeme,

@@ -59,9 +59,13 @@ class VocabularyGapError(LexselError):
 
 
 def parse_json(
-    text: str, error: type[LexselError], what: str, parse_float: type = float
+    text: str, error: type[LexselError], what: str, parse_float: type | None = None
 ) -> object:
-    """``json.loads``, raising ``error`` on bad or too deeply nested text."""
+    """``json.loads``, raising ``error`` on bad or too deeply nested text.
+
+    Without ``parse_float`` json reuses its module-level decoder instead
+    of building a new one per call.
+    """
     try:
         return json.loads(text, parse_float=parse_float)
     except ValueError as exc:  # a syntax error, or an integer too long to convert

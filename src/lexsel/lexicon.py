@@ -53,8 +53,9 @@ class SlotStatus(str, Enum):
 VARIABLE_PLACEHOLDERS = frozenset({"@t0", "@l0", "@l1", "@l2"})
 EVENT_TOKEN = "*"
 UNSPECIFIED_TOKEN = "@"
-_ROLE_NAMES = frozenset(r.value for r in Role)
-_ARG_TOKENS = _ROLE_NAMES | VARIABLE_PLACEHOLDERS | {EVENT_TOKEN, UNSPECIFIED_TOKEN}
+_ROLES = {r.value: r for r in Role}
+_STATUSES = {s.value: s for s in SlotStatus}
+_ARG_TOKENS = frozenset(_ROLES) | VARIABLE_PLACEHOLDERS | {EVENT_TOKEN, UNSPECIFIED_TOKEN}
 _MENTION_SUFFIX = re.compile(r"-\d+$")
 
 
@@ -125,7 +126,7 @@ def resolve_mention(store: TaxonomyStore, nominal_domain: str, token: str) -> Bi
     A trailing ``-<digits>`` tags an instance and is stripped when the
     stripped base names a concept; otherwise the token itself must.
     """
-    if not token or any(ch.isspace() for ch in token):
+    if token.split() != [token]:  # empty, or whitespace as str.isspace has it
         raise LexiconFormatError(f"bad entity mention {token!r}")
     dom = store.domain(nominal_domain)
     base = _MENTION_SUFFIX.sub("", token)
@@ -166,49 +167,54 @@ class Lexicon:
         return self._index.get(concept, ())
 
 
-def _require_str(raw: dict, key: str, where: str) -> str:
+def _error(sense_id: Optional[str], message: str) -> LexiconFormatError:
+    """An error located at a sense, or at a sense with no usable id."""
+    where = "sense" if sense_id is None else f"sense {sense_id!r}"
+    return LexiconFormatError(f"{where}: {message}")
+
+
+def _require_str(raw: dict, key: str, sense_id: Optional[str]) -> str:
     value = raw.get(key)
     if not isinstance(value, str):
-        raise LexiconFormatError(f"{where}: field {key!r} must be a string")
+        raise _error(sense_id, f"field {key!r} must be a string")
     return value
 
 
-def _parse_slot(raw: dict, store: TaxonomyStore, where: str) -> ProjectionSlot:
+def _parse_slot(raw: dict, store: TaxonomyStore, sense_id: str) -> ProjectionSlot:
     if not isinstance(raw, dict):
-        raise LexiconFormatError(f"{where}: projection slot must be an object")
-    domain = _require_str(raw, "domain", where)
-    if domain not in store.domains:
-        raise LexiconFormatError(f"{where}: unknown domain {domain!r}")
-    status_raw = _require_str(raw, "status", where)
-    try:
-        status = SlotStatus(status_raw)
-    except ValueError:
-        raise LexiconFormatError(f"{where}: bad slot status {status_raw!r}") from None
+        raise _error(sense_id, "projection slot must be an object")
+    domain = _require_str(raw, "domain", sense_id)
+    dom = store.domains.get(domain)
+    if dom is None:
+        raise _error(sense_id, f"unknown domain {domain!r}")
+    status_raw = _require_str(raw, "status", sense_id)
+    status = _STATUSES.get(status_raw)
+    if status is None:
+        raise _error(sense_id, f"bad slot status {status_raw!r}")
     concept: Optional[ConceptId] = None
-    if "concept" in raw and raw["concept"] is not None:
-        cname = raw["concept"]
+    cname = raw.get("concept")
+    if cname is not None:
         if not isinstance(cname, str):
-            raise LexiconFormatError(f"{where}: slot concept must be a string")
+            raise _error(sense_id, "slot concept must be a string")
+        if cname not in dom.nodes:
+            raise _error(sense_id, f"domain {domain!r} has no concept {cname!r}")
         concept = ConceptId(domain, cname)
-        if not store.has_concept(concept):
-            raise LexiconFormatError(
-                f"{where}: domain {domain!r} has no concept {cname!r}"
-            )
     elif status is not SlotStatus.IMP:
-        raise LexiconFormatError(
-            f"{where}: {status.value} slot in domain {domain!r} must name a concept"
-        )
+        raise _error(sense_id, f"{status.value} slot in domain {domain!r} must name a concept")
     args_raw = raw.get("args", [])
     if not isinstance(args_raw, list):
-        raise LexiconFormatError(f"{where}: slot args must be a list")
+        raise _error(sense_id, "slot args must be a list")
     for tok in args_raw:
         if not isinstance(tok, str) or tok not in _ARG_TOKENS:
-            raise LexiconFormatError(f"{where}: bad argument token {tok!r}")
-    return ProjectionSlot(domain=domain, status=status, concept=concept, args=tuple(args_raw))
+            raise _error(sense_id, f"bad argument token {tok!r}")
+    return ProjectionSlot(domain, status, concept, tuple(args_raw))  # positional is cheaper
 
 
 def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
-    """Parse and validate a lexicon document against a taxonomy store."""
+    """Parse and validate a lexicon document against a taxonomy store.
+
+    Error locations are formatted only when raising.
+    """
     doc = parse_json(text, LexiconFormatError, "lexicon document")
     if not isinstance(doc, dict):
         raise LexiconFormatError("lexicon document must be an object")
@@ -218,59 +224,53 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
     raw_senses = doc.get("senses")
     if not isinstance(raw_senses, list):
         raise LexiconFormatError('lexicon document needs a "senses" list')
+    nominal_nodes = store.domains[nominal].nodes
 
     senses: list[VerbSense] = []
     seen: set[str] = set()
     for raw in raw_senses:
         if not isinstance(raw, dict):
             raise LexiconFormatError("sense entry must be an object")
-        sense_id = _require_str(raw, "sense_id", "sense")
-        where = f"sense {sense_id!r}"
+        sense_id = _require_str(raw, "sense_id", None)
         if sense_id in seen:
             raise LexiconFormatError(f"duplicate sense_id {sense_id!r}")
         seen.add(sense_id)
-        lexeme = _require_str(raw, "lexeme", where)
-        language = _require_str(raw, "language", where)
+        lexeme = _require_str(raw, "lexeme", sense_id)
+        language = _require_str(raw, "language", sense_id)
         if language not in ("source", "target"):
-            raise LexiconFormatError(f"{where}: language must be 'source' or 'target'")
-        gloss = _require_str(raw, "gloss", where)
+            raise _error(sense_id, "language must be 'source' or 'target'")
+        gloss = _require_str(raw, "gloss", sense_id)
         example = raw.get("example", "")
         if not isinstance(example, str):
-            raise LexiconFormatError(f"{where}: example must be a string")
+            raise _error(sense_id, "example must be a string")
 
         constraints_raw = raw.get("constraints", [])
         if not isinstance(constraints_raw, list):
-            raise LexiconFormatError(f"{where}: constraints must be a list")
+            raise _error(sense_id, "constraints must be a list")
         constraints = []
         for c in constraints_raw:
             if not isinstance(c, dict):
-                raise LexiconFormatError(f"{where}: constraint must be an object")
-            role_raw = _require_str(c, "role", where)
-            try:
-                role = Role(role_raw)
-            except ValueError:
-                raise LexiconFormatError(f"{where}: bad constraint role {role_raw!r}") from None
-            cname = _require_str(c, "concept", where)
-            concept = ConceptId(nominal, cname)
-            if not store.has_concept(concept):
-                raise LexiconFormatError(
-                    f"{where}: constraint names unknown nominal concept {cname!r}"
-                )
-            constraints.append(SelectionConstraint(role=role, concept=concept))
+                raise _error(sense_id, "constraint must be an object")
+            role_raw = _require_str(c, "role", sense_id)
+            role = _ROLES.get(role_raw)
+            if role is None:
+                raise _error(sense_id, f"bad constraint role {role_raw!r}")
+            cname = _require_str(c, "concept", sense_id)
+            if cname not in nominal_nodes:
+                raise _error(sense_id, f"constraint names unknown nominal concept {cname!r}")
+            constraints.append(SelectionConstraint(role, ConceptId(nominal, cname)))
 
         projection_raw = raw.get("projection")
         if not isinstance(projection_raw, list) or not projection_raw:
-            raise LexiconFormatError(f"{where}: needs a non-empty projection list")
+            raise _error(sense_id, "needs a non-empty projection list")
         projection: dict[str, ProjectionSlot] = {}
         for raw_slot in projection_raw:
-            slot = _parse_slot(raw_slot, store, where)
+            slot = _parse_slot(raw_slot, store, sense_id)
             if slot.domain in projection:
-                raise LexiconFormatError(
-                    f"{where}: more than one slot in domain {slot.domain!r}"
-                )
+                raise _error(sense_id, f"more than one slot in domain {slot.domain!r}")
             projection[slot.domain] = slot
         if not any(s.status is SlotStatus.OBL for s in projection.values()):
-            raise LexiconFormatError(f"{where}: needs at least one OBL slot")
+            raise _error(sense_id, "needs at least one OBL slot")
 
         senses.append(
             VerbSense(
@@ -294,8 +294,8 @@ def _substitute(slot: ProjectionSlot, args: ArgumentStructure) -> Optional[tuple
     """
     out: list[str] = []
     for tok in slot.args:
-        if tok in _ROLE_NAMES:
-            binding = args.bindings.get(Role(tok))
+        if tok in _ROLES:
+            binding = args.bindings.get(_ROLES[tok])
             if binding is None:
                 if slot.status is SlotStatus.OBL:
                     raise UnboundRoleError(

@@ -55,7 +55,16 @@ class ConceptNode:
     parents: tuple[str, ...]  # parent concept names, same domain, sorted
 
 
-def _check_token(token: object, what: str, where: str) -> str:
+def _check_token(
+    token: object, what: str, domain: str | None = None, concept: str | None = None
+) -> str:
+    """``token`` if it is a valid name; the error names the domain and
+    concept it sits in (or the document), formatted only when raising."""
+    if isinstance(token, str) and ":" not in token and token.split() == [token]:
+        return token
+    where = "taxonomy document" if domain is None else f"domain {domain!r}"
+    if concept is not None:
+        where += f" concept {concept!r}"
     if not isinstance(token, str) or not token:
         raise TaxonomyFormatError(f"{where}: {what} must be a non-empty string")
     if token.split() != [token]:  # same character set as str.isspace
@@ -100,14 +109,33 @@ class DomainTaxonomy:
         depth: dict[str, int] = {}
         up: dict[str, dict[str, int]] = {}
         on_path: set[str] = set()  # concepts on the stack, not yet finished
+
+        def finish(name: str, parents: tuple[str, ...]) -> None:
+            """Both indices of ``name`` from its finished parents' entries."""
+            dist = {a: d + 1 for a, d in up[parents[0]].items()} if parents else {}
+            for parent in parents[1:]:
+                for ancestor, d in up[parent].items():
+                    if d + 1 < dist.get(ancestor, d + 2):
+                        dist[ancestor] = d + 1
+            dist[name] = 0
+            depth[name] = 1 + max(map(depth.__getitem__, parents)) if parents else 1
+            up[name] = dist
+
         # Iterative post-order walk up the parent edges: a concept is
         # finished once all its parents are, so both indices come from the
-        # parents' finished entries in one pass, with no recursion.
-        for start in nodes:
+        # parents' finished entries in one pass, with no recursion.  A
+        # concept whose parents are all finished skips the stack.
+        for start, node in nodes.items():
             if start in depth:
                 continue
+            for parent in node.parents:
+                if parent not in depth:
+                    break
+            else:  # every parent is finished: no walk needed
+                finish(start, node.parents)
+                continue
             on_path.add(start)
-            stack = [(start, iter(nodes[start].parents))]
+            stack = [(start, iter(node.parents))]
             while stack:
                 name, pending = stack[-1]
                 for parent in pending:
@@ -121,15 +149,7 @@ class DomainTaxonomy:
                 else:
                     stack.pop()
                     on_path.discard(name)
-                    parents = nodes[name].parents
-                    depth[name] = 1 + max((depth[p] for p in parents), default=0)
-                    dist = {a: d + 1 for a, d in up[parents[0]].items()} if parents else {}
-                    for parent in parents[1:]:
-                        for ancestor, d in up[parent].items():
-                            if d + 1 < dist.get(ancestor, d + 2):
-                                dist[ancestor] = d + 1
-                    dist[name] = 0
-                    up[name] = dist
+                    finish(name, nodes[name].parents)
         return cls(domain=domain, nodes=nodes, root=roots[0], depth=depth, up=up)
 
     def require(self, name: str) -> ConceptNode:
@@ -196,7 +216,7 @@ def load_taxonomy(text: str) -> TaxonomyStore:
     Document shape: ``{"domains": [{"name", "concepts": [{"id", "label",
     "parents": [...]}]}]}`` with an optional top-level ``"note"``.  A
     concept with an empty parent list is the domain root; each domain must
-    have exactly one.
+    have exactly one.  Error locations are formatted only when raising.
     """
     doc = parse_json(text, TaxonomyFormatError, "taxonomy document")
     if not isinstance(doc, dict) or not isinstance(doc.get("domains"), list):
@@ -209,7 +229,7 @@ def load_taxonomy(text: str) -> TaxonomyStore:
     for entry in doc["domains"]:
         if not isinstance(entry, dict):
             raise TaxonomyFormatError("domain entry must be an object")
-        name = _check_token(entry.get("name"), "domain name", "taxonomy document")
+        name = _check_token(entry.get("name"), "domain name")
         if name in domains:
             raise TaxonomyFormatError(f"duplicate domain {name!r}")
         concepts = entry.get("concepts")
@@ -219,7 +239,7 @@ def load_taxonomy(text: str) -> TaxonomyStore:
         for raw in concepts:
             if not isinstance(raw, dict):
                 raise TaxonomyFormatError(f"domain {name!r}: concept entry must be an object")
-            cname = _check_token(raw.get("id"), "concept id", f"domain {name!r}")
+            cname = _check_token(raw.get("id"), "concept id", name)
             if cname in nodes:
                 raise TaxonomyFormatError(f"domain {name!r}: duplicate concept {cname!r}")
             label = raw.get("label", "")
@@ -232,17 +252,17 @@ def load_taxonomy(text: str) -> TaxonomyStore:
                 raise TaxonomyFormatError(
                     f"domain {name!r}: concept {cname!r} needs a parent list"
                 )
-            parents = tuple(
-                sorted(
-                    _check_token(p, "parent id", f"domain {name!r} concept {cname!r}")
-                    for p in parents_raw
-                )
-            )
-            if len(set(parents)) != len(parents):
-                raise TaxonomyFormatError(
-                    f"domain {name!r}: concept {cname!r} lists a parent twice"
-                )
-            nodes[cname] = ConceptNode(id=ConceptId(name, cname), label=label, parents=parents)
+            for parent in parents_raw:
+                _check_token(parent, "parent id", name, cname)
+            parents = tuple(parents_raw)
+            if len(parents) > 1:
+                parents = tuple(sorted(parents))
+                if len(set(parents)) != len(parents):
+                    raise TaxonomyFormatError(
+                        f"domain {name!r}: concept {cname!r} lists a parent twice"
+                    )
+            # positional arguments: keywords cost a frozen dataclass ~30% more
+            nodes[cname] = ConceptNode(ConceptId(name, cname), label, parents)
         domains[name] = DomainTaxonomy.build(name, nodes)
     return TaxonomyStore(domains=domains, note=note)
 
