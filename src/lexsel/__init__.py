@@ -51,7 +51,6 @@ from .matcher import (
     word_sim_breakdown,
 )
 from .selector import (
-    DecisionTree,
     SelectionConfig,
     SelectionResult,
     Translation,
@@ -67,7 +66,6 @@ from .corpus import (
     CorpusRecord,
     EvalItem,
     EvalReport,
-    FreqTable,
     evaluate_corpus,
     frequency_table,
     load_corpus,

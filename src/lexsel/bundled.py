@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .lexicon import Lexicon, load_lexicon
-from .selector import DecisionTree, load_decision_tree
+from .selector import TreeNode, load_decision_tree
 from .taxonomy import TaxonomyStore, load_taxonomy, merge_stores
 
 TAXONOMY_FILES = ("domains.json", "entities.json")
@@ -33,5 +33,5 @@ def load_bundled_lexicon(store: TaxonomyStore) -> Lexicon:
     return load_lexicon(bundled_text(LEXICON_FILE), store)
 
 
-def load_bundled_tree(store: TaxonomyStore, nominal_domain: str = "entity") -> DecisionTree:
+def load_bundled_tree(store: TaxonomyStore, nominal_domain: str = "entity") -> TreeNode:
     return load_decision_tree(bundled_text(TREE_FILE), store, nominal_domain)

@@ -27,7 +27,7 @@ from .corpus import Corpus, evaluate_corpus, frequency_table, load_corpus
 from .errors import LexselError, VocabularyGapError, parse_fraction
 from .lexicon import ArgumentStructure, Lexicon, Role, load_lexicon, resolve_mention
 from .matcher import DomainWeights
-from .selector import DecisionTree, SelectionConfig, Translation, load_decision_tree, translate
+from .selector import SelectionConfig, Translation, TreeNode, load_decision_tree, translate
 from .taxonomy import TaxonomyStore, least_common_superconcept, load_taxonomy, merge_stores
 
 FORMATS = ("text", "json", "tsv")
@@ -131,13 +131,13 @@ def _selection_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--floor",
         type=_fraction_arg,
-        default=Fraction(1, 2),
+        default=SelectionConfig.floor,
         help="neighborhood similarity floor (default: 0.5)",
     )
     parser.add_argument(
         "--max-candidates",
         type=int,
-        default=10,
+        default=SelectionConfig.max_candidates,
         help="neighborhood size limit (default: 10)",
     )
 
@@ -159,7 +159,7 @@ def _load_store(ns: argparse.Namespace) -> TaxonomyStore:
 
 def _load_pipeline(
     ns: argparse.Namespace,
-) -> tuple[TaxonomyStore, Lexicon, Optional[DecisionTree], SelectionConfig]:
+) -> tuple[TaxonomyStore, Lexicon, Optional[TreeNode], SelectionConfig]:
     store = _load_store(ns)
     if ns.lexicon:
         lexicon = load_lexicon(_read_text(ns.lexicon), store)
@@ -319,11 +319,12 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 def cmd_freq(ns: argparse.Namespace) -> int:
     table = frequency_table(_load_corpus_file(ns))
+    total = sum(count for _, count in table)
     header = ("rank", "lexeme", "count")
-    rows = [(i, lexeme, count) for i, (lexeme, count) in enumerate(table.rows, 1)]
-    doc = {"total": table.total(), "rows": [dict(zip(header, row)) for row in rows]}
+    rows = [(i, lexeme, count) for i, (lexeme, count) in enumerate(table, 1)]
+    doc = {"total": total, "rows": [dict(zip(header, row)) for row in rows]}
     # the text layout is the TSV table plus a total row
-    _emit(ns.format, doc, header, rows, lambda: _tsv(header, *rows, ("total", "-", table.total())))
+    _emit(ns.format, doc, header, rows, lambda: _tsv(header, *rows, ("total", "-", total)))
     return 0
 
 

@@ -14,11 +14,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CorpusFormatError, VocabularyGapError, parse_json
-from .lexicon import ArgumentStructure, Lexicon, Role, resolve_mention
-from .selector import DecisionTree, SelectionConfig, translate
+from .lexicon import _ROLES, ArgumentStructure, Lexicon, Role, resolve_mention
+from .selector import SelectionConfig, TreeNode, translate
 from .taxonomy import TaxonomyStore
-
-_ROLES = {r.value: r for r in Role}  # role order
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,9 @@ def load_corpus(text: str) -> Corpus:
     records: list[CorpusRecord] = []
     seen_ids: set[str] = set()
     first_content_line = True
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    # only "\n" ends a record: JSON strings may hold U+0085, U+2028 and U+2029 raw,
+    # which str.splitlines would also split at; strip() drops a "\r" before it
+    for lineno, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
         if not line:
             continue
@@ -88,7 +88,7 @@ def _parse_record(raw: dict, lineno: int, markers: frozenset[str]) -> CorpusReco
     if not isinstance(bindings_raw, dict):
         raise _error(lineno, f"record {rid!r} bindings must be an object")
     bindings: list[tuple[Role, str]] = []
-    for name, role in _ROLES.items():
+    for name, role in _ROLES.items():  # role order
         if name in bindings_raw:
             mention = bindings_raw[name]
             if not isinstance(mention, str) or not mention:
@@ -153,7 +153,7 @@ def evaluate_corpus(
     lexicon: Lexicon,
     store: TaxonomyStore,
     config: SelectionConfig = SelectionConfig(),
-    tree: Optional[DecisionTree] = None,
+    tree: Optional[TreeNode] = None,
 ) -> EvalReport:
     """Translate every record and compare against its gold label.
 
@@ -190,16 +190,8 @@ def evaluate_corpus(
     )
 
 
-@dataclass(frozen=True)
-class FreqTable:
-    rows: tuple[tuple[str, int], ...]  # (lexeme, count), count desc then lexeme
-
-    def total(self) -> int:
-        return sum(count for _, count in self.rows)
-
-
-def frequency_table(corpus: Corpus) -> FreqTable:
-    """Count gold target lexemes; order by count descending, then lexeme."""
+def frequency_table(corpus: Corpus) -> tuple[tuple[str, int], ...]:
+    """``(lexeme, count)`` rows of gold target lexemes, by count descending, then lexeme."""
     if not corpus.records:
         raise CorpusFormatError("corpus has no records to count")
     counts: dict[str, int] = {}
@@ -207,5 +199,4 @@ def frequency_table(corpus: Corpus) -> FreqTable:
         if record.gold is None:
             raise CorpusFormatError(f"record {record.id!r} has no gold label")
         counts[record.gold] = counts.get(record.gold, 0) + 1
-    rows = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
-    return FreqTable(rows=rows)
+    return tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))

@@ -113,7 +113,6 @@ class InterRep:
     """Language-neutral clause meaning: projection slots with roles filled."""
 
     sentence_id: str
-    source_sense: str
     slots: dict[str, ProjectionSlot]  # keyed by domain; every slot names a concept
 
     def obl_concepts(self) -> tuple[ConceptId, ...]:
@@ -333,4 +332,4 @@ def build_inter_rep(
         kept[domain] = ProjectionSlot(
             domain=domain, status=slot.status, concept=slot.concept, args=filled
         )
-    return InterRep(sentence_id=sentence_id, source_sense=sense.sense_id, slots=kept)
+    return InterRep(sentence_id=sentence_id, slots=kept)

@@ -23,6 +23,7 @@ from typing import Optional, Union
 
 from .errors import DecisionTreeFormatError, LexselError, VocabularyGapError, parse_json
 from .lexicon import (
+    _ROLES,
     ArgumentStructure,
     InterRep,
     Lexicon,
@@ -49,8 +50,13 @@ class SelectionConfig:
     weights: DomainWeights = field(default_factory=DomainWeights)
 
     def __post_init__(self) -> None:
+        # only an exact floor compares to exact similarities as written
+        if isinstance(self.floor, bool) or not isinstance(self.floor, (int, Fraction)):
+            raise LexselError(f"floor must be an int or a Fraction, got {self.floor!r}")
         if not 0 <= self.floor <= 1:
             raise LexselError(f"floor must be within [0, 1], got {self.floor}")
+        if isinstance(self.max_candidates, bool) or not isinstance(self.max_candidates, int):
+            raise LexselError(f"max_candidates must be an int, got {self.max_candidates!r}")
         if self.max_candidates < 1:
             raise LexselError(f"max_candidates must be >= 1, got {self.max_candidates}")
 
@@ -66,7 +72,7 @@ class SelectionResult:
 @dataclass(frozen=True)
 class TreeTest:
     kind: str  # "is-a" | "has-marker" | "role-bound"
-    value: str
+    value: str  # a Role for "role-bound"
 
     def evaluate(
         self, object_concept: ConceptId, args: ArgumentStructure, store: TaxonomyStore
@@ -75,7 +81,7 @@ class TreeTest:
             return store.is_a(object_concept, ConceptId(object_concept.domain, self.value))
         if self.kind == "has-marker":
             return self.value in args.context_markers
-        return Role(self.value) in args.bindings  # role-bound
+        return self.value in args.bindings  # role-bound
 
 
 @dataclass(frozen=True)
@@ -92,11 +98,6 @@ class TreeLeaf:
 
 TreeNode = Union[TreeBranch, TreeLeaf]
 ACTION_DOMAIN = "action"  # the domain whose concepts tree leaves name
-
-
-@dataclass(frozen=True)
-class DecisionTree:
-    root: TreeNode
 
 
 def _parse_tree_node(
@@ -135,9 +136,10 @@ def _parse_tree_node(
         if not isinstance(value, str) or not value:
             raise DecisionTreeFormatError(f"{path}: has-marker test needs a marker string")
     elif kind == "role-bound":
-        value = test_raw.get("role")
-        if value not in (r.value for r in Role):
-            raise DecisionTreeFormatError(f"{path}: role-bound test has bad role {value!r}")
+        role = test_raw.get("role")
+        if not isinstance(role, str) or role not in _ROLES:
+            raise DecisionTreeFormatError(f"{path}: role-bound test has bad role {role!r}")
+        value = _ROLES[role]
     else:
         raise DecisionTreeFormatError(f"{path}: unknown test kind {kind!r}")
     return TreeBranch(
@@ -147,20 +149,19 @@ def _parse_tree_node(
     )
 
 
-def load_decision_tree(text: str, store: TaxonomyStore, nominal_domain: str) -> DecisionTree:
-    """Parse a decision-tree document; every path must end in a leaf."""
+def load_decision_tree(text: str, store: TaxonomyStore, nominal_domain: str) -> TreeNode:
+    """Parse a decision-tree document into its root; every path must end in a leaf."""
     doc = parse_json(text, DecisionTreeFormatError, "tree document")
     if ACTION_DOMAIN not in store.domains:
         raise DecisionTreeFormatError(f"unknown action domain {ACTION_DOMAIN!r}")
-    root = _parse_tree_node(doc, store, nominal_domain, "root")
-    return DecisionTree(root=root)
+    return _parse_tree_node(doc, store, nominal_domain, "root")
 
 
 def decide_action(
-    tree: DecisionTree, object_concept: ConceptId, args: ArgumentStructure, store: TaxonomyStore
+    tree: TreeNode, object_concept: ConceptId, args: ArgumentStructure, store: TaxonomyStore
 ) -> ConceptId:
     """Walk the tree for the given patient concept and context."""
-    node = tree.root
+    node = tree
     while isinstance(node, TreeBranch):
         node = node.then if node.test.evaluate(object_concept, args, store) else node.otherwise
     return node.action
@@ -241,10 +242,7 @@ def rank_candidates(
 
 
 def rerank_by_action(
-    ranking: list[SelectionResult],
-    action: Optional[ConceptId],
-    lexicon: Lexicon,
-    action_domain: str,
+    ranking: list[SelectionResult], action: ConceptId, lexicon: Lexicon
 ) -> list[SelectionResult]:
     """Within ties on concept score, move action-matching senses first.
 
@@ -252,11 +250,9 @@ def rerank_by_action(
     concept band in place, and the match-score order among the promoted
     senses and again among the rest.
     """
-    if action is None:
-        return list(ranking)
 
     def key(r: SelectionResult) -> tuple[Fraction, bool]:
-        slot = lexicon.senses[r.sense_id].projection.get(action_domain)
+        slot = lexicon.senses[r.sense_id].projection.get(ACTION_DOMAIN)
         return r.score.concept_score, slot is not None and slot.concept == action
 
     # descending; a reversed sort keeps equal keys in their input order
@@ -280,7 +276,7 @@ def translate(
     store: TaxonomyStore,
     args: ArgumentStructure,
     config: SelectionConfig = SelectionConfig(),
-    tree: Optional[DecisionTree] = None,
+    tree: Optional[TreeNode] = None,
     sentence_id: str = "sentence-1",
 ) -> Translation:
     """Full pipeline for one clause; the top result is the translation."""
@@ -293,7 +289,7 @@ def translate(
         action = decide_action(tree, patient.concept, args, store)
         # the action-domain root stands for "no particular action implied"
         if action.name != store.domain(ACTION_DOMAIN).root:
-            ranking = rerank_by_action(ranking, action, lexicon, ACTION_DOMAIN)
+            ranking = rerank_by_action(ranking, action, lexicon)
     chosen = lexicon.senses[ranking[0].sense_id]
     return Translation(
         lexeme=chosen.lexeme,

@@ -60,18 +60,18 @@ def _check_token(
 ) -> str:
     """``token`` if it is a valid name; the error names the domain and
     concept it sits in (or the document), formatted only when raising."""
-    if isinstance(token, str) and ":" not in token and token.split() == [token]:
+    if not isinstance(token, str) or not token:
+        problem = "must be a non-empty string"
+    elif token.split() != [token]:  # same character set as str.isspace
+        problem = f"{token!r} contains whitespace"
+    elif ":" in token:
+        problem = f"{token!r} contains ':'"
+    else:
         return token
     where = "taxonomy document" if domain is None else f"domain {domain!r}"
     if concept is not None:
         where += f" concept {concept!r}"
-    if not isinstance(token, str) or not token:
-        raise TaxonomyFormatError(f"{where}: {what} must be a non-empty string")
-    if token.split() != [token]:  # same character set as str.isspace
-        raise TaxonomyFormatError(f"{where}: {what} {token!r} contains whitespace")
-    if ":" in token:
-        raise TaxonomyFormatError(f"{where}: {what} {token!r} contains ':'")
-    return token
+    raise TaxonomyFormatError(f"{where}: {what} {problem}")
 
 
 @dataclass(frozen=True)
@@ -174,9 +174,6 @@ class TaxonomyStore:
         except KeyError:
             raise UnknownConceptError(f"unknown domain {name!r}") from None
 
-    def node(self, concept: ConceptId) -> ConceptNode:
-        return self.domain(concept.domain).require(concept.name)
-
     def has_concept(self, concept: ConceptId) -> bool:
         dom = self.domains.get(concept.domain)
         return dom is not None and concept.name in dom.nodes
@@ -196,9 +193,8 @@ class TaxonomyStore:
         """Resolve ``domain:name`` or a bare name unique across domains."""
         if ":" in token:
             domain, _, name = token.partition(":")
-            concept = ConceptId(domain, name)
-            self.node(concept)
-            return concept
+            self.domain(domain).require(name)
+            return ConceptId(domain, name)
         hits = [d for d in sorted(self.domains) if token in self.domains[d].nodes]
         if not hits:
             raise UnknownConceptError(f"no domain contains concept {token!r}")
@@ -311,7 +307,7 @@ def neighborhood(
     store: TaxonomyStore,
     concept: ConceptId,
     max_size: int,
-    floor: float | Fraction,
+    floor: int | Fraction,
 ) -> list[tuple[ConceptId, Fraction]]:
     """Nearest same-domain concepts with similarity >= floor.
 
@@ -327,24 +323,23 @@ def neighborhood(
     same similarity, so concepts are grouped by the exact ``Fraction``,
     and names are sorted within each group.
     """
-    if max_size < 1:
-        raise ValueError(f"max_size must be >= 1, got {max_size}")
-    if not 0 <= floor <= 1:
-        raise ValueError(f"floor must be within [0, 1], got {floor}")
+    if not isinstance(max_size, int) or max_size < 1:
+        raise ValueError(f"max_size must be an int >= 1, got {max_size!r}")
+    if not isinstance(floor, (int, Fraction)) or not 0 <= floor <= 1:
+        raise ValueError(f"floor must be an int or a Fraction within [0, 1], got {floor!r}")
     dom = store.domain(concept.domain)
     dom.require(concept.name)
     up, nodes = dom.up[concept.name], dom.nodes
     keys: dict[str, tuple[int, int]] = {}
+    by_key: dict[tuple[int, int], list[str]] = {}
     for name, depth in dom.depth.items():  # parents before children
         if name in up:
-            keys[name] = (-depth, up[name])
+            key = keys[name] = (-depth, up[name])
         else:
             neg_depth, edges = min(map(keys.__getitem__, nodes[name].parents))
-            keys[name] = (neg_depth, edges + 1)
-    del keys[concept.name]
-    by_key: dict[tuple[int, int], list[str]] = {}
-    for name, key in keys.items():
+            key = keys[name] = (neg_depth, edges + 1)
         by_key.setdefault(key, []).append(name)
+    del by_key[keys[concept.name]]  # only the centre is 0 edges from its LCS
     by_sim: dict[Fraction, list[str]] = {}
     for (neg_depth, edges), names in by_key.items():
         by_sim.setdefault(_similarity(edges, -neg_depth), []).extend(names)

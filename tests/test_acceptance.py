@@ -191,7 +191,7 @@ def test_action_tree_promotes_only_within_ties(lexicon, store, tree):
     for args in arg_sets:
         base = translate(lexicon, store, args).ranking
         for action in actions:
-            got = rerank_by_action(base, action, lexicon, "action")
+            got = rerank_by_action(base, action, lexicon)
             rankings += 1
             if sorted(r.sense_id for r in got) != sorted(r.sense_id for r in base):
                 violations.append(f"{action.name}: candidates changed")

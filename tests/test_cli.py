@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from lexsel import cli
+from lexsel import SelectionConfig, cli
 from lexsel.cli import main
 
 
@@ -265,6 +265,20 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as err:
             main(["sim", "vase", "cup", "--bogus"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["select", "--lexeme", "break"], ["eval"]])
+    def test_help_states_the_selection_defaults(self, capsys, argv):
+        ns = cli._build_parser().parse_args(argv)
+        assert (ns.floor, ns.max_candidates) == (
+            SelectionConfig().floor,
+            SelectionConfig().max_candidates,
+        )
+        with pytest.raises(SystemExit) as err:
+            main([argv[0], "--help"])
+        assert err.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())  # undo line wrapping
+        assert "similarity floor (default: 0.5)" in help_text
+        assert "size limit (default: 10)" in help_text
 
     def test_non_numeric_floor_exits_2(self):
         with pytest.raises(SystemExit) as err:

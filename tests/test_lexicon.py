@@ -162,7 +162,6 @@ class TestBuildInterRep:
         assert [s.render() for s in rep.slots.values()] == [
             "ch-of-state (%change-of-integrity branch-1)"
         ]
-        assert rep.source_sense == "BREAK-1"
         assert rep.obl_concepts() == (ConceptId("ch-of-state", "%change-of-integrity"),)
 
     def test_agent_surfaces_the_cause_slot(self, lexicon, store):

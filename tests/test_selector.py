@@ -106,8 +106,8 @@ class TestDecideAction:
 class TestTreeLoader:
     def test_bundled_tree_loads(self, store):
         tree = load_decision_tree(bundled_text(TREE_FILE), store, "entity")
-        assert tree.root.test == TreeTest(kind="has-marker", value="into-pieces")
-        assert tree.root.then == TreeLeaf(action=action("%hit-action"))
+        assert tree.test == TreeTest(kind="has-marker", value="into-pieces")
+        assert tree.then == TreeLeaf(action=action("%hit-action"))
 
     def test_plain_leaf(self, store):
         tree = load_decision_tree('{"action": "%hit-action"}', store, "entity")
@@ -256,6 +256,12 @@ class TestSelectionConfig:
             ({"floor": Fraction(3, 2)}, "floor must be within"),
             ({"floor": Fraction(-1, 10)}, "floor must be within"),
             ({"max_candidates": 0}, "max_candidates must be >= 1"),
+            # a float floor is compared at its binary value: 0.8 > Fraction(4, 5)
+            ({"floor": 0.8}, "floor must be an int or a Fraction, got 0.8"),
+            ({"floor": "0.5"}, "floor must be an int or a Fraction, got '0.5'"),
+            ({"floor": True}, "floor must be an int or a Fraction, got True"),
+            ({"max_candidates": 2.5}, "max_candidates must be an int, got 2.5"),
+            ({"max_candidates": True}, "max_candidates must be an int, got True"),
         ],
     )
     def test_rejects_out_of_range(self, bad, message):
@@ -265,6 +271,8 @@ class TestSelectionConfig:
     def test_accepts_the_bounds(self):
         SelectionConfig(floor=Fraction(0), max_candidates=1)
         SelectionConfig(floor=Fraction(1))
+        SelectionConfig(floor=0)
+        SelectionConfig(floor=1)
 
 
 class TestScoreRecord:
@@ -341,19 +349,14 @@ class TestRerankByAction:
         ranking = self.pick(
             lexicon, store, {"e1": "branch-1"}, ["duan-la", "da-sui", "zhe-duan"]
         )
-        got = rerank_by_action(ranking, action("%bend-action"), lexicon, "action")
+        got = rerank_by_action(ranking, action("%bend-action"), lexicon)
         assert [r.sense_id for r in got] == ["zhe-duan", "duan-la", "da-sui"]
-
-    def test_no_action_keeps_order(self, lexicon, store):
-        ranking = self.pick(lexicon, store, {"e1": "branch-1"}, ["duan-la", "da-sui"])
-        got = rerank_by_action(ranking, None, lexicon, "action")
-        assert [r.sense_id for r in got] == ["duan-la", "da-sui"]
 
     def test_bands_do_not_cross(self, lexicon, store):
         # duan-la sits in a lower concept band when the agent is bound, so
         # promoting the hit senses must not lift them above it
         results = translate(lexicon, store, args_for(store, e0="john-1", e1="vase-1")).ranking
-        got = rerank_by_action(results, action("%hit-action"), lexicon, "action")
+        got = rerank_by_action(results, action("%hit-action"), lexicon)
         bands = [r.score.concept_score for r in got]
         assert bands == sorted(bands, reverse=True)
 

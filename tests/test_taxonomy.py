@@ -221,6 +221,10 @@ class TestNeighborhood:
             neighborhood(store, small_id("B"), max_size=0, floor=0)
         with pytest.raises(ValueError):
             neighborhood(store, small_id("B"), max_size=5, floor=Fraction(3, 2))
+        with pytest.raises(ValueError, match="floor must be an int or a Fraction"):
+            neighborhood(store, small_id("B"), max_size=5, floor=0.5)
+        with pytest.raises(ValueError, match="max_size must be an int"):
+            neighborhood(store, small_id("B"), max_size=2.5, floor=0)
 
 
 class TestLoaderValidation:
