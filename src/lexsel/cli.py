@@ -8,7 +8,8 @@ Each subcommand builds its result once, as a JSON document, TSV rows and
 text lines, and ``_emit`` prints the one ``--format`` names.
 
 Exit codes: 0 success, 1 vocabulary gap (no realization within the
-floor), 2 usage or data errors.
+floor), 2 usage or data errors, 141 standard output closed before the
+result was written (as by ``| head``).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -58,11 +60,14 @@ def _tsv(*rows: Sequence[object]) -> list[str]:
 def _emit(
     fmt: str, doc: dict, header: Sequence[str], rows: list[tuple], text: Callable[[], list[str]]
 ) -> None:
-    """Print one result as indented JSON, as TSV rows under ``header``, or as text."""
+    """Print one result as indented JSON, as TSV rows under ``header``, or as text.
+
+    Flushed here, so that a closed pipe is reported inside ``main``.
+    """
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2), flush=True)
     else:  # never empty: a table has its header, a text result its summary line
-        print("\n".join(_tsv(header, *rows) if fmt == "tsv" else text()))
+        print("\n".join(_tsv(header, *rows) if fmt == "tsv" else text()), flush=True)
 
 
 @functools.cache  # ~0.7 ms to build, a third of an in-process `select`; nothing mutates it
@@ -334,6 +339,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     command = {"sim": cmd_sim, "select": cmd_select, "eval": cmd_eval, "freq": cmd_freq}
     try:
         return command[ns.command](ns)
+    except BrokenPipeError:  # the reader left, as `| head` does; not a data error
+        # Point stdout at devnull, so that the flush at exit cannot fail again
+        # (the recipe in the documentation of Python's signal module).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, the status a shell gives a writer the pipe killed
     except VocabularyGapError as exc:
         print(f"vocabulary gap: {exc}", file=sys.stderr)
         return 1

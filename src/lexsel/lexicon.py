@@ -29,7 +29,7 @@ from .errors import (
     UnknownLexemeError,
     parse_json,
 )
-from .taxonomy import ConceptId, TaxonomyStore
+from .taxonomy import ConceptId, TaxonomyStore, collector_paused
 
 
 class Role(str, Enum):
@@ -209,10 +209,14 @@ def _parse_slot(raw: dict, store: TaxonomyStore, sense_id: str) -> ProjectionSlo
     return ProjectionSlot(domain, status, concept, tuple(args_raw))  # positional is cheaper
 
 
+@collector_paused()
 def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
     """Parse and validate a lexicon document against a taxonomy store.
 
-    Error locations are formatted only when raising.
+    Error locations are formatted only when raising.  On success, the
+    ancestor maps of every nominal concept (where mentions and constraints
+    resolve) and of every slot concept are filled, so that translating a
+    clause does not pay for them.
     """
     doc = parse_json(text, LexiconFormatError, "lexicon document")
     if not isinstance(doc, dict):
@@ -282,6 +286,14 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
                 projection=projection,
             )
         )
+    # a lookup fills the map, see taxonomy.AncestorIndex
+    nominal_up = store.domains[nominal].up
+    for name in nominal_nodes:  # where every mention and constraint resolves
+        nominal_up[name]
+    for sense in senses:
+        for slot in sense.projection.values():
+            if slot.concept is not None:
+                store.domains[slot.domain].up[slot.concept.name]
     return Lexicon(nominal_domain=nominal, senses=senses)
 
 

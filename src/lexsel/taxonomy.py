@@ -15,9 +15,11 @@ and n3 is its depth.  All values are exact ``fractions.Fraction``.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CrossDomainError, TaxonomyFormatError, UnknownConceptError, parse_json
 
@@ -74,21 +76,67 @@ def _check_token(
     raise TaxonomyFormatError(f"{where}: {what} {problem}")
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, restoring the caller's state.
+
+    A loader allocates a large acyclic structure; full collections over
+    the growing store while it does so find nothing to free.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class AncestorIndex(dict):
+    """Concept name -> ``{ancestor: min edges}``, each map filled on first lookup.
+
+    A map holds the concept itself at 0 and every ancestor at its fewest
+    edges, found by a breadth-first walk up the parent edges.  At most one
+    map is stored per concept asked for, so the index never holds more
+    entries than one map per concept of the domain.  An unknown name
+    raises ``KeyError`` and stores nothing.
+    """
+
+    __slots__ = ("_nodes",)
+
+    def __init__(self, nodes: dict[str, ConceptNode]):
+        super().__init__()
+        self._nodes = nodes
+
+    def __missing__(self, name: str) -> dict[str, int]:
+        nodes = self._nodes
+        dist = {name: 0}
+        queue = [(name, 1)]  # (concept, edges from ``name`` to its parents)
+        for concept, edges in queue:  # breadth first: the loop reaches what it appends
+            for parent in nodes[concept].parents:
+                if parent not in dist:
+                    dist[parent] = edges
+                    queue.append((parent, edges + 1))
+        self[name] = dist
+        return dist
+
+
 @dataclass(frozen=True)
 class DomainTaxonomy:
-    """One validated domain: nodes plus precomputed path indices.
+    """One validated domain: nodes, depths and the ancestor index.
 
     Concepts may be listed in any order, parents before or after their
     children, and the DAG may be of any depth.  Treat instances as
-    immutable after construction; all query state is derived once in
-    ``build``.
+    immutable after construction.  ``build`` checks the structure and
+    derives every depth; ``up`` fills a concept's ancestor map the first
+    time it is looked up (see ``AncestorIndex``).
     """
 
     domain: str
     nodes: dict[str, ConceptNode]
     root: str
     depth: dict[str, int] = field(repr=False)  # insertion order lists parents first
-    up: dict[str, dict[str, int]] = field(repr=False)  # min edges to each ancestor
+    up: AncestorIndex = field(repr=False, compare=False)  # min edges to each ancestor
 
     @classmethod
     def build(cls, domain: str, nodes: dict[str, ConceptNode]) -> "DomainTaxonomy":
@@ -107,22 +155,14 @@ class DomainTaxonomy:
                         f"{where}: concept {node.id.name!r} names missing parent {parent!r}"
                     )
         depth: dict[str, int] = {}
-        up: dict[str, dict[str, int]] = {}
         on_path: set[str] = set()  # concepts on the stack, not yet finished
 
         def finish(name: str, parents: tuple[str, ...]) -> None:
-            """Both indices of ``name`` from its finished parents' entries."""
-            dist = {a: d + 1 for a, d in up[parents[0]].items()} if parents else {}
-            for parent in parents[1:]:
-                for ancestor, d in up[parent].items():
-                    if d + 1 < dist.get(ancestor, d + 2):
-                        dist[ancestor] = d + 1
-            dist[name] = 0
+            """The depth of ``name`` from its finished parents' depths."""
             depth[name] = 1 + max(map(depth.__getitem__, parents)) if parents else 1
-            up[name] = dist
 
         # Iterative post-order walk up the parent edges: a concept is
-        # finished once all its parents are, so both indices come from the
+        # finished once all its parents are, so its depth comes from the
         # parents' finished entries in one pass, with no recursion.  A
         # concept whose parents are all finished skips the stack.
         for start, node in nodes.items():
@@ -150,7 +190,8 @@ class DomainTaxonomy:
                     stack.pop()
                     on_path.discard(name)
                     finish(name, nodes[name].parents)
-        return cls(domain=domain, nodes=nodes, root=roots[0], depth=depth, up=up)
+        return cls(domain=domain, nodes=nodes, root=roots[0], depth=depth,
+                   up=AncestorIndex(nodes))
 
     def require(self, name: str) -> ConceptNode:
         try:
@@ -206,6 +247,7 @@ class TaxonomyStore:
         return ConceptId(hits[0], token)
 
 
+@collector_paused()
 def load_taxonomy(text: str) -> TaxonomyStore:
     """Parse and validate a taxonomy document.
 

@@ -340,6 +340,17 @@ class TestModuleEntryPoint:
         assert self.run_module(gap).returncode == 1
         assert self.run_module(["sim", "vase"]).returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["eval"], ["select", "--lexeme", "break", "--e1", "branch-1", "--format", "json"]]
+    )
+    def test_closed_stdout_exits_141_without_an_error(self, argv):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lexsel", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        proc.stdout.close()  # long before the child writes: its first write finds no reader
+        _, stderr = proc.communicate(timeout=60)
+        assert (proc.returncode, stderr) == (141, b"")
+
     def test_output_is_byte_identical_across_runs(self):
         for argv in BATTERY:
             first = self.run_module(argv)

@@ -1,5 +1,6 @@
 """Lexicon loading, mention resolution, disambiguation, clause meanings."""
 
+import gc
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from lexsel import (
     ArgumentStructure,
     ConceptId,
     LexiconFormatError,
+    LexselError,
     Role,
     SlotStatus,
     UnboundRoleError,
@@ -16,9 +18,17 @@ from lexsel import (
     build_inter_rep,
     disambiguate,
     load_lexicon,
+    load_taxonomy,
+    merge_stores,
     resolve_mention,
 )
-from lexsel.bundled import load_bundled_lexicon, load_bundled_store
+from lexsel.bundled import (
+    LEXICON_FILE,
+    TAXONOMY_FILES,
+    bundled_text,
+    load_bundled_lexicon,
+    load_bundled_store,
+)
 
 
 @pytest.fixture(scope="module")
@@ -307,3 +317,41 @@ class TestLoaderValidation:
         constraints = [{"role": "E7", "concept": "vase"}]
         with pytest.raises(LexiconFormatError, match="bad constraint role"):
             self.load_one(store, constraints=constraints)
+
+
+class TestLoaderSideEffects:
+    def test_lexicon_load_fills_every_reachable_concepts_ancestor_map(self):
+        store = merge_stores(load_taxonomy(bundled_text(name)) for name in TAXONOMY_FILES)
+        assert all(len(dom.up) == 0 for dom in store.domains.values())
+        lexicon = load_lexicon(bundled_text(LEXICON_FILE), store)
+        nominal = store.domains[lexicon.nominal_domain]
+        assert set(nominal.up) == set(nominal.nodes)  # mentions and constraints
+        slots = {
+            slot.concept
+            for s in lexicon.senses.values()
+            for slot in s.projection.values()
+            if slot.concept is not None
+        }
+        assert slots
+        for concept in slots:
+            assert concept.name in store.domains[concept.domain].up, concept  # no lookup
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_loaders_leave_the_collector_as_they_found_it(self, enabled, valid):
+        taxonomy_text = bundled_text(TAXONOMY_FILES[0]) if valid else '{"domains": [7]}'
+        lexicon_text = bundled_text(LEXICON_FILE) if valid else '{"senses": []}'
+        store = load_bundled_store()
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for load in (lambda: load_taxonomy(taxonomy_text),
+                         lambda: load_lexicon(lexicon_text, store)):
+                if valid:
+                    load()
+                else:
+                    with pytest.raises(LexselError):
+                        load()
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()

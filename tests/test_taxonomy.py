@@ -138,6 +138,31 @@ class TestBuild:
         assert dom.up[leaf] == {f"c{i}": length - 1 - i for i in range(length)}
         assert list(dom.depth) == [f"c{i}" for i in range(length)]
 
+    def test_very_deep_chain_answers_exactly(self):
+        length = 20_000
+        parents = {"c0": ()}
+        for i in range(1, length):
+            parents[f"c{i}"] = (f"c{i - 1}",)
+        store = store_from(parents)
+        leaf, root = small_id(f"c{length - 1}"), small_id("c0")
+        assert con_sim(store, leaf, root) == Fraction(2, length + 1)  # n1 = length - 1, n3 = 1
+        assert store.is_a(leaf, root)
+        assert not store.is_a(root, leaf)
+
+    def test_ancestor_maps_fill_on_first_lookup(self):
+        dom = store_from(SMALL).domain("synthetic")
+        assert len(dom.up) == 0
+        first = dom.up["C"]
+        assert first == {"C": 0, "A": 1, "root": 2}
+        assert dom.up["C"] is first
+        assert list(dom.up) == ["C"]
+
+    def test_unknown_name_raises_and_stores_nothing(self):
+        dom = store_from(SMALL).domain("synthetic")
+        with pytest.raises(KeyError):
+            dom.up["nope"]
+        assert len(dom.up) == 0
+
     @pytest.mark.parametrize(
         "parents",
         [
