@@ -122,12 +122,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _selection_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    tree = parser.add_mutually_exclusive_group()
+    tree.add_argument(
         "--tree",
         metavar="PATH",
         help="action decision tree document; default: bundled",
     )
-    parser.add_argument(
+    tree.add_argument(
         "--no-tree", action="store_true", help="run without the action decision tree"
     )
     parser.add_argument(
@@ -171,7 +172,7 @@ def _load_pipeline(
     else:
         lexicon = bundled.load_bundled_lexicon(store)
     tree = None
-    if ns.tree and not ns.no_tree:
+    if ns.tree:
         tree = load_decision_tree(_read_text(ns.tree), store, lexicon.nominal_domain)
     elif not ns.no_tree:
         tree = bundled.load_bundled_tree(store, lexicon.nominal_domain)
@@ -246,7 +247,8 @@ def _explanation(result: Translation, lexicon: Lexicon) -> list[str]:
 def cmd_select(ns: argparse.Namespace) -> int:
     store, lexicon, tree, config = _load_pipeline(ns)
     mentions = ((Role.E0, ns.e0), (Role.E1, ns.e1), (Role.E2, ns.e2))
-    bindings = {r: resolve_mention(store, lexicon.nominal_domain, m) for r, m in mentions if m}
+    bindings = {r: resolve_mention(store, lexicon.nominal_domain, m) for r, m in mentions
+                if m is not None}
     args = ArgumentStructure(ns.lexeme, bindings, frozenset(ns.marker))
     result = translate(lexicon, store, args, config, tree)
     ranked = [(i, lexicon.senses[r.sense_id].lexeme, r) for i, r in enumerate(result.ranking, 1)]

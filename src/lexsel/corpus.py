@@ -33,12 +33,10 @@ class CorpusRecord:
 class Corpus:
     markers: frozenset[str]
     records: tuple[CorpusRecord, ...]
-    note: str = ""
 
 
 def load_corpus(text: str) -> Corpus:
     markers: frozenset[str] = frozenset()
-    note = ""
     records: list[CorpusRecord] = []
     seen_ids: set[str] = set()
     first_content_line = True
@@ -59,8 +57,7 @@ def load_corpus(text: str) -> Corpus:
             ):
                 raise CorpusFormatError(f"line {lineno}: markers must be a list of strings")
             markers = frozenset(raw_markers)
-            note = raw.get("note", "")
-            if not isinstance(note, str):
+            if not isinstance(raw.get("note", ""), str):  # checked, not kept
                 raise CorpusFormatError(f"line {lineno}: note must be a string")
             first_content_line = False
             continue
@@ -70,7 +67,7 @@ def load_corpus(text: str) -> Corpus:
         if rid in seen_ids:
             raise CorpusFormatError(f"line {lineno}: duplicate record id {rid!r}")
         seen_ids.add(rid)
-    return Corpus(markers=markers, records=tuple(records), note=note)
+    return Corpus(markers=markers, records=tuple(records))
 
 
 def _error(lineno: int, message: str) -> CorpusFormatError:

@@ -85,7 +85,6 @@ class VerbSense:
     lexeme: str
     language: str  # "source" or "target"
     gloss: str
-    example: str
     constraints: tuple[SelectionConstraint, ...]
     projection: dict[str, ProjectionSlot]  # keyed by domain, document order
 
@@ -144,11 +143,11 @@ class Lexicon:
     def __init__(self, nominal_domain: str, senses: list[VerbSense]):
         self.nominal_domain = nominal_domain
         self.senses: dict[str, VerbSense] = {s.sense_id: s for s in senses}
-        self._source_by_lexeme: dict[str, list[str]] = {}
+        self._source_by_lexeme: dict[str, list[VerbSense]] = {}
         by_concept: dict[ConceptId, list[str]] = {}
         for sense in senses:  # document order preserved
             if sense.language == "source":
-                self._source_by_lexeme.setdefault(sense.lexeme, []).append(sense.sense_id)
+                self._source_by_lexeme.setdefault(sense.lexeme, []).append(sense)
             else:
                 for slot in sense.obl_slots():
                     assert slot.concept is not None
@@ -157,10 +156,9 @@ class Lexicon:
 
     def source_senses(self, lexeme: str) -> list[VerbSense]:
         try:
-            ids = self._source_by_lexeme[lexeme]
+            return self._source_by_lexeme[lexeme]
         except KeyError:
             raise UnknownLexemeError(f"unknown source lexeme {lexeme!r}") from None
-        return [self.senses[i] for i in ids]
 
     def realization_ids(self, concept: ConceptId) -> tuple[str, ...]:
         return self._index.get(concept, ())
@@ -243,8 +241,7 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
         if language not in ("source", "target"):
             raise _error(sense_id, "language must be 'source' or 'target'")
         gloss = _require_str(raw, "gloss", sense_id)
-        example = raw.get("example", "")
-        if not isinstance(example, str):
+        if not isinstance(raw.get("example", ""), str):  # checked, not kept
             raise _error(sense_id, "example must be a string")
 
         constraints_raw = raw.get("constraints", [])
@@ -281,7 +278,6 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
                 lexeme=lexeme,
                 language=language,
                 gloss=gloss,
-                example=example,
                 constraints=tuple(constraints),
                 projection=projection,
             )

@@ -72,13 +72,13 @@ class SelectionResult:
 @dataclass(frozen=True)
 class TreeTest:
     kind: str  # "is-a" | "has-marker" | "role-bound"
-    value: str  # a Role for "role-bound"
+    value: Union[str, ConceptId]  # a nominal ConceptId for "is-a", a Role for "role-bound"
 
     def evaluate(
         self, object_concept: ConceptId, args: ArgumentStructure, store: TaxonomyStore
     ) -> bool:
         if self.kind == "is-a":
-            return store.is_a(object_concept, ConceptId(object_concept.domain, self.value))
+            return store.is_a(object_concept, self.value)
         if self.kind == "has-marker":
             return self.value in args.context_markers
         return self.value in args.bindings  # role-bound
@@ -124,12 +124,11 @@ def _parse_tree_node(
         raise DecisionTreeFormatError(f"{path}: test must be an object")
     kind = test_raw.get("kind")
     if kind == "is-a":
-        value = test_raw.get("concept")
-        if not isinstance(value, str) or not store.has_concept(
-            ConceptId(nominal_domain, value)
-        ):
+        name = test_raw.get("concept")
+        value = ConceptId(nominal_domain, name)
+        if not isinstance(name, str) or not store.has_concept(value):
             raise DecisionTreeFormatError(
-                f"{path}: is-a test names unknown nominal concept {value!r}"
+                f"{path}: is-a test names unknown nominal concept {name!r}"
             )
     elif kind == "has-marker":
         value = test_raw.get("marker")

@@ -53,7 +53,7 @@ class PathMetrics(NamedTuple):
 @dataclass(frozen=True)
 class ConceptNode:
     id: ConceptId
-    label: str
+    label: str  # ``load_taxonomy`` checks a document's label and stores ""
     parents: tuple[str, ...]  # parent concept names, same domain, sorted
 
 
@@ -193,13 +193,9 @@ class DomainTaxonomy:
         return cls(domain=domain, nodes=nodes, root=roots[0], depth=depth,
                    up=AncestorIndex(nodes))
 
-    def require(self, name: str) -> ConceptNode:
-        try:
-            return self.nodes[name]
-        except KeyError:
-            raise UnknownConceptError(
-                f"domain {self.domain!r} has no concept {name!r}"
-            ) from None
+    def require(self, name: str) -> None:
+        if name not in self.nodes:
+            raise UnknownConceptError(f"domain {self.domain!r} has no concept {name!r}")
 
 
 @dataclass(frozen=True)
@@ -207,7 +203,6 @@ class TaxonomyStore:
     """Immutable collection of domain taxonomies keyed by domain name."""
 
     domains: dict[str, DomainTaxonomy]
-    note: str = ""
 
     def domain(self, name: str) -> DomainTaxonomy:
         try:
@@ -252,15 +247,15 @@ def load_taxonomy(text: str) -> TaxonomyStore:
     """Parse and validate a taxonomy document.
 
     Document shape: ``{"domains": [{"name", "concepts": [{"id", "label",
-    "parents": [...]}]}]}`` with an optional top-level ``"note"``.  A
-    concept with an empty parent list is the domain root; each domain must
-    have exactly one.  Error locations are formatted only when raising.
+    "parents": [...]}]}]}`` with an optional top-level ``"note"``; a label
+    or note must be a string and is not kept.  A concept with an empty
+    parent list is the domain root; each domain must have exactly one.
+    Error locations are formatted only when raising.
     """
     doc = parse_json(text, TaxonomyFormatError, "taxonomy document")
     if not isinstance(doc, dict) or not isinstance(doc.get("domains"), list):
         raise TaxonomyFormatError('taxonomy document must be {"domains": [...]}')
-    note = doc.get("note", "")
-    if not isinstance(note, str):
+    if not isinstance(doc.get("note", ""), str):
         raise TaxonomyFormatError('taxonomy "note" must be a string')
 
     domains: dict[str, DomainTaxonomy] = {}
@@ -280,8 +275,7 @@ def load_taxonomy(text: str) -> TaxonomyStore:
             cname = _check_token(raw.get("id"), "concept id", name)
             if cname in nodes:
                 raise TaxonomyFormatError(f"domain {name!r}: duplicate concept {cname!r}")
-            label = raw.get("label", "")
-            if not isinstance(label, str):
+            if not isinstance(raw.get("label", ""), str):
                 raise TaxonomyFormatError(
                     f"domain {name!r}: concept {cname!r} label must be a string"
                 )
@@ -300,23 +294,20 @@ def load_taxonomy(text: str) -> TaxonomyStore:
                         f"domain {name!r}: concept {cname!r} lists a parent twice"
                     )
             # positional arguments: keywords cost a frozen dataclass ~30% more
-            nodes[cname] = ConceptNode(ConceptId(name, cname), label, parents)
+            nodes[cname] = ConceptNode(ConceptId(name, cname), "", parents)
         domains[name] = DomainTaxonomy.build(name, nodes)
-    return TaxonomyStore(domains=domains, note=note)
+    return TaxonomyStore(domains=domains)
 
 
 def merge_stores(stores: Iterable[TaxonomyStore]) -> TaxonomyStore:
     """Combine stores; duplicate domain names are an error."""
     merged: dict[str, DomainTaxonomy] = {}
-    notes: list[str] = []
     for store in stores:
         for name, dom in store.domains.items():
             if name in merged:
                 raise TaxonomyFormatError(f"domain {name!r} appears in more than one document")
             merged[name] = dom
-        if store.note:
-            notes.append(store.note)
-    return TaxonomyStore(domains=merged, note="; ".join(notes))
+    return TaxonomyStore(domains=merged)
 
 
 def least_common_superconcept(

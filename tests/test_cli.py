@@ -130,6 +130,11 @@ class TestSelect:
         code, _ = run(capsys, "select", "--lexeme", "break", "--e0", "john-1")
         assert code == 2
 
+    @pytest.mark.parametrize("role", ["--e0", "--e1"])
+    def test_empty_mention_exits_2(self, capsys, role):
+        assert main(["select", "--lexeme", "break", "--e1", "branch-1", role, ""]) == 2
+        assert "bad entity mention ''" in capsys.readouterr().err
+
     def test_bad_floor_exits_2(self, capsys):
         code, _ = run(
             capsys, "select", "--lexeme", "break", "--e1", "vase-1", "--floor", "1.5"
@@ -299,6 +304,15 @@ class TestArgparseBehavior:
             main(argv)
         assert err.value.code == 2
         assert f"unrecognized arguments: {argv[-2]} /no/such" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["select", "--lexeme", "break", "--e1", "branch-1"], ["eval"]]
+    )
+    def test_tree_and_no_tree_together_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--tree", "/nonexistent", "--no-tree"])
+        assert err.value.code == 2
+        assert "not allowed with argument --tree" in capsys.readouterr().err
 
     def test_a_command_patched_after_the_first_call_still_runs(self, capsys, monkeypatch):
         # the parser is built once per process; the command is looked up per call

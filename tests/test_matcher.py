@@ -258,7 +258,6 @@ class TestConstraints:
             lexeme="x",
             language="target",
             gloss="",
-            example="",
             constraints=(),
             projection=sense.projection,
         )

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lexsel import (
     ArgumentStructure,
     ConceptId,
+    CrossDomainError,
     DecisionTreeFormatError,
     LexselError,
     MatchScore,
@@ -149,6 +150,31 @@ class TestTreeLoader:
         }
         with pytest.raises(DecisionTreeFormatError, match="unknown nominal concept"):
             load_decision_tree(json.dumps(doc), store, "entity")
+
+    def test_is_a_tests_the_concept_checked_at_load(self):
+        def domain(name, *chain):  # each concept is the child of the one before it
+            concepts = [{"id": c, "parents": [chain[i - 1]] if i else []}
+                        for i, c in enumerate(chain)]
+            return {"name": name, "concepts": concepts}
+
+        store = load_taxonomy(json.dumps({"domains": [
+            domain("action", "%action", "%hit-action"),
+            domain("entity", "thing", "rod"),
+            domain("shape", "form", "rod", "stick"),  # also has a "rod"
+        ]}))
+        doc = {
+            "test": {"kind": "is-a", "concept": "rod"},
+            "then": {"action": "%hit-action"},
+            "else": {"action": "%action"},
+        }
+        tree = load_decision_tree(json.dumps(doc), store, "entity")
+        assert tree.test == TreeTest(kind="is-a", value=ConceptId("entity", "rod"))
+        args = ArgumentStructure("break")
+        assert decide_action(tree, ConceptId("entity", "rod"), args, store) == action(
+            "%hit-action"
+        )
+        with pytest.raises(CrossDomainError):
+            decide_action(tree, ConceptId("shape", "stick"), args, store)
 
     def test_rejects_bad_role(self, store):
         doc = {

@@ -256,8 +256,8 @@ class TestLoaderValidation:
     def test_round_trips_note(self):
         doc = as_taxonomy_doc(SMALL)
         doc["note"] = "hand-built"
-        store = load_taxonomy(json.dumps(doc))
-        assert store.note == "hand-built"
+        store = load_taxonomy(json.dumps(doc))  # checked, not kept
+        assert store == load_taxonomy(json.dumps(as_taxonomy_doc(SMALL)))
 
     def test_rejects_invalid_json(self):
         with pytest.raises(TaxonomyFormatError, match="not valid JSON"):
