@@ -32,8 +32,6 @@ from .matcher import DomainWeights
 from .selector import SelectionConfig, Translation, TreeNode, load_decision_tree, translate
 from .taxonomy import TaxonomyStore, least_common_superconcept, load_taxonomy, merge_stores
 
-FORMATS = ("text", "json", "tsv")
-
 
 def _fraction_arg(raw: str) -> Fraction:
     try:
@@ -42,6 +40,16 @@ def _fraction_arg(raw: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{raw!r}: {exc}") from None
+
+
+def _path_arg(raw: str) -> str:
+    if not raw:  # an empty path would name the working directory
+        raise argparse.ArgumentTypeError("empty path")
+    return raw
+
+
+FORMATS = ("text", "json", "tsv")
+_PATH = {"type": _path_arg, "metavar": "PATH"}  # every data file flag
 
 
 def _fmt(value: Fraction) -> str:
@@ -87,19 +95,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--taxonomy",
             action="append",
-            metavar="PATH",
+            **_PATH,
             default=None,
             help="taxonomy document; repeatable; default: bundled domains",
         )
     for p in (p_select, p_eval):
-        p.add_argument("--lexicon", metavar="PATH", help="lexicon document; default: bundled")
+        p.add_argument("--lexicon", **_PATH, help="lexicon document; default: bundled")
     for p in (p_sim, p_select, p_eval, p_freq):
         p.add_argument(
             "--format", choices=FORMATS, default="text", help="output format (default: text)"
         )
     for p in (p_eval, p_freq):
         p.add_argument(
-            "--corpus", metavar="PATH", help="clause corpus (JSON Lines); default: bundled"
+            "--corpus", **_PATH, help="clause corpus (JSON Lines); default: bundled"
         )
 
     p_sim.add_argument("concept1", help="concept name, or domain:name if ambiguous")
@@ -125,14 +133,14 @@ def _selection_flags(parser: argparse.ArgumentParser) -> None:
     tree = parser.add_mutually_exclusive_group()
     tree.add_argument(
         "--tree",
-        metavar="PATH",
+        **_PATH,
         help="action decision tree document; default: bundled",
     )
     tree.add_argument(
         "--no-tree", action="store_true", help="run without the action decision tree"
     )
     parser.add_argument(
-        "--weights", metavar="PATH", help="domain weights document; default: uniform"
+        "--weights", **_PATH, help="domain weights document; default: uniform"
     )
     parser.add_argument(
         "--floor",
@@ -158,7 +166,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_store(ns: argparse.Namespace) -> TaxonomyStore:
-    if ns.taxonomy:
+    if ns.taxonomy is not None:
         return merge_stores(load_taxonomy(_read_text(p)) for p in ns.taxonomy)
     return bundled.load_bundled_store()
 
@@ -167,17 +175,17 @@ def _load_pipeline(
     ns: argparse.Namespace,
 ) -> tuple[TaxonomyStore, Lexicon, Optional[TreeNode], SelectionConfig]:
     store = _load_store(ns)
-    if ns.lexicon:
+    if ns.lexicon is not None:
         lexicon = load_lexicon(_read_text(ns.lexicon), store)
     else:
         lexicon = bundled.load_bundled_lexicon(store)
     tree = None
-    if ns.tree:
+    if ns.tree is not None:
         tree = load_decision_tree(_read_text(ns.tree), store, lexicon.nominal_domain)
     elif not ns.no_tree:
         tree = bundled.load_bundled_tree(store, lexicon.nominal_domain)
     weights = DomainWeights()
-    if ns.weights:
+    if ns.weights is not None:
         weights = DomainWeights.from_json(_read_text(ns.weights))
         for name in weights.weights:
             if name not in store.domains:
@@ -187,7 +195,7 @@ def _load_pipeline(
 
 
 def _load_corpus_file(ns: argparse.Namespace) -> Corpus:
-    if ns.corpus:
+    if ns.corpus is not None:
         return load_corpus(_read_text(ns.corpus))
     return load_corpus(bundled.bundled_text(bundled.CORPUS_FILE))
 

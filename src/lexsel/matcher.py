@@ -27,7 +27,7 @@ from .lexicon import (
     SlotStatus,
     VerbSense,
 )
-from .taxonomy import ConceptId, TaxonomyStore, con_sim
+from .taxonomy import ConceptId, TaxonomyStore, _degree, con_sim
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 # a domain union's integer weight total, and each domain's integer weight and share
@@ -167,10 +167,8 @@ def constraint_degrees(
         binding = args.bindings.get(constraint.role)
         if binding is None:
             out.append(ConstraintDegree(constraint, _ZERO, None))
-        elif store.is_a(binding.concept, constraint.concept):
-            out.append(ConstraintDegree(constraint, _ONE, binding.concept))
         else:
-            degree = con_sim(store, binding.concept, constraint.concept)
+            degree = _degree(store, binding.concept, constraint.concept)
             out.append(ConstraintDegree(constraint, degree, binding.concept))
     return tuple(out)
 

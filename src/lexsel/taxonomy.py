@@ -19,6 +19,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CrossDomainError, TaxonomyFormatError, UnknownConceptError, parse_json
@@ -32,8 +33,13 @@ class ConceptId(NamedTuple):
         return f"{self.domain}:{self.name}"
 
 
+@cache
 def _similarity(edges: int, depth: int) -> Fraction:
-    """``2 * n3 / (n1 + n2 + 2 * n3)`` with ``edges = n1 + n2`` and ``depth = n3``."""
+    """``2 * n3 / (n1 + n2 + 2 * n3)`` with ``edges = n1 + n2`` and ``depth = n3``.
+
+    One shared value per pair asked.  In a domain of depth D, n1 and n2 are each at
+    most D - n3, so the table holds at most D² entries for the deepest domain loaded.
+    """
     return Fraction(2 * depth, edges + 2 * depth)
 
 
@@ -216,14 +222,7 @@ class TaxonomyStore:
 
     def is_a(self, concept: ConceptId, ancestor: ConceptId) -> bool:
         """Reflexive-transitive subsumption within one domain."""
-        if concept.domain != ancestor.domain:
-            raise CrossDomainError(
-                f"cannot relate {concept} to {ancestor}: different domains"
-            )
-        dom = self.domain(concept.domain)
-        dom.require(concept.name)
-        dom.require(ancestor.name)
-        return ancestor.name in dom.up[concept.name]
+        return ancestor.name in _ancestor_maps(self, concept, ancestor, _RELATE)[1]
 
     def resolve(self, token: str) -> ConceptId:
         """Resolve ``domain:name`` or a bare name unique across domains."""
@@ -310,30 +309,70 @@ def merge_stores(stores: Iterable[TaxonomyStore]) -> TaxonomyStore:
     return TaxonomyStore(domains=merged)
 
 
-def least_common_superconcept(
-    store: TaxonomyStore, c1: ConceptId, c2: ConceptId
-) -> PathMetrics:
+_ONE = Fraction(1)
+_COMPARE = "cannot compare {} with {}: different domains"
+_RELATE = "cannot relate {} to {}: different domains"
+
+
+def _ancestor_maps(
+    store: TaxonomyStore, c1: ConceptId, c2: ConceptId, mismatch: str
+) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
+    """Depths and the two ancestor maps; ``mismatch`` formats a cross-domain error."""
+    if c1.domain != c2.domain:
+        raise CrossDomainError(mismatch.format(c1, c2))
+    dom = store.domain(c1.domain)
+    try:
+        return dom.depth, dom.up[c1.name], dom.up[c2.name]
+    except KeyError as missing:  # an unknown name: ``require`` raises its error
+        dom.require(missing.args[0])
+        raise
+
+
+def _lcs(
+    store: TaxonomyStore, c1: ConceptId, c2: ConceptId, mismatch: str = _COMPARE
+) -> tuple[int, int, str]:
+    """``(n1 + n2, n3, name)`` of the least common superconcept of c1 and c2.
+
+    Deepest first, then fewest edges, then smallest name: c2 when it subsumes
+    c1, otherwise found by one walk over the smaller ancestor map."""
+    depth, up1, up2 = _ancestor_maps(store, c1, c2, mismatch)
+    edges = up1.get(c2.name)
+    if edges is not None:  # every other ancestor of c2 is shallower
+        return edges, depth[c2.name], c2.name
+    if len(up2) < len(up1):
+        up1, up2 = up2, up1
+    best, best_depth, best_edges = "", 0, 0
+    for name, edges in up1.items():
+        other = up2.get(name)
+        if other is not None:  # the root is shared, so a best is always found
+            d = depth[name]
+            if d >= best_depth:
+                edges += other
+                if d > best_depth or edges < best_edges or (edges == best_edges and name < best):
+                    best, best_depth, best_edges = name, d, edges
+    return best_edges, best_depth, best
+
+
+def _degree(store: TaxonomyStore, concept: ConceptId, ancestor: ConceptId) -> Fraction:
+    """1 when ``ancestor`` subsumes ``concept``, else their ``con_sim``; errors as ``is_a``'s."""
+    edges, depth, lcs = _lcs(store, concept, ancestor, _RELATE)
+    return _ONE if lcs == ancestor.name else _similarity(edges, depth)
+
+
+def least_common_superconcept(store: TaxonomyStore, c1: ConceptId, c2: ConceptId) -> PathMetrics:
     """Deepest shared ancestor with its path counts.
 
     Ties on depth are broken by minimal n1+n2, then by concept name.
     """
-    if c1.domain != c2.domain:
-        raise CrossDomainError(f"cannot compare {c1} with {c2}: different domains")
-    dom = store.domain(c1.domain)
-    dom.require(c1.name)
-    dom.require(c2.name)
-    up1, up2 = dom.up[c1.name], dom.up[c2.name]
-    common = up1.keys() & up2.keys()
-    # Root is an ancestor of everything, so `common` is never empty.
-    best = min(common, key=lambda a: (-dom.depth[a], up1[a] + up2[a], a))
-    return PathMetrics(
-        n1=up1[best], n2=up2[best], n3=dom.depth[best], lcs=ConceptId(c1.domain, best)
-    )
+    edges, depth, lcs = _lcs(store, c1, c2)
+    n1 = store.domains[c1.domain].up[c1.name][lcs]
+    return PathMetrics(n1, edges - n1, depth, ConceptId(c1.domain, lcs))
 
 
 def con_sim(store: TaxonomyStore, c1: ConceptId, c2: ConceptId) -> Fraction:
     """Exact similarity in (0, 1]; 1 iff the concepts are identical."""
-    return least_common_superconcept(store, c1, c2).similarity
+    edges, depth, _ = _lcs(store, c1, c2)
+    return _similarity(edges, depth)
 
 
 def neighborhood(

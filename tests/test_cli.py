@@ -332,6 +332,27 @@ class TestArgparseBehavior:
         assert time.perf_counter() - start < 1
         assert f"argument --floor: {floor!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--lexeme", "break", "--e1", "branch-1", "--taxonomy", ""],
+            ["select", "--lexeme", "break", "--e1", "branch-1", "--lexicon", ""],
+            ["select", "--lexeme", "break", "--e1", "branch-1", "--tree", ""],
+            ["select", "--lexeme", "break", "--e1", "branch-1", "--weights", ""],
+            ["sim", "vase", "cup", "--taxonomy", ""],
+            ["eval", "--lexicon", ""],
+            ["eval", "--corpus", ""],
+            ["freq", "--corpus", ""],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_empty_data_path_exits_2_naming_the_flag(self, capsys, argv):
+        # an empty path once fell back to the bundled file, or read the working directory
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {argv[-2]}: empty path\n")
+
 
 BATTERY = [
     ["sim", "%change-of-integrity", "%separate-in-pieces-state", "--format", "json"],

@@ -18,17 +18,35 @@ from dag_oracle import (
     random_rooted_dag,
 )
 from lexsel import (
+    ArgumentStructure,
+    Binding,
     ConceptId,
     CrossDomainError,
+    Role,
+    SelectionConfig,
+    SelectionConstraint,
     TaxonomyFormatError,
     UnknownConceptError,
+    VerbSense,
     con_sim,
+    constraint_degrees,
     least_common_superconcept,
+    load_corpus,
     load_taxonomy,
     merge_stores,
     neighborhood,
+    to_argument_structure,
+    translate,
 )
-from lexsel.bundled import load_bundled_store
+from lexsel.bundled import (
+    CORPUS_FILE,
+    COUNTS_FILE,
+    bundled_text,
+    load_bundled_lexicon,
+    load_bundled_store,
+    load_bundled_tree,
+)
+from lexsel.taxonomy import _similarity
 
 
 def store_from(parents: dict[str, tuple[str, ...]], domain: str = "synthetic"):
@@ -148,6 +166,24 @@ class TestBuild:
         assert con_sim(store, leaf, root) == Fraction(2, length + 1)  # n1 = length - 1, n3 = 1
         assert store.is_a(leaf, root)
         assert not store.is_a(root, leaf)
+
+    def test_very_deep_chain_walks_exactly(self):
+        # a twig under the next-to-last link: the LCS walk covers two 20,000-entry maps
+        length = 20_000
+        parents = {"c0": ()}
+        for i in range(1, length):
+            parents[f"c{i}"] = (f"c{i - 1}",)
+        parents["twig"] = (f"c{length - 2}",)
+        store = store_from(parents)
+        leaf, root, twig = small_id(f"c{length - 1}"), small_id("c0"), small_id("twig")
+        assert con_sim(store, root, leaf) == con_sim(store, leaf, root) == Fraction(2, length + 1)
+        got = least_common_superconcept(store, leaf, twig)
+        assert (got.lcs.name, got.n1, got.n2, got.n3) == (f"c{length - 2}", 1, 1, length - 1)
+        assert con_sim(store, twig, leaf) == Fraction(length - 1, length)
+        assert [d.degree for d in degrees_against(store, leaf, [root, twig])] == [
+            1,
+            Fraction(length - 1, length),
+        ]
 
     def test_ancestor_maps_fill_on_first_lookup(self):
         dom = store_from(SMALL).domain("synthetic")
@@ -378,6 +414,36 @@ def check_against_oracle(seed: int, pairs: int = 10) -> None:
         assert con_sim(store, small_id(a), small_id(b)) == oracle_con_sim(parents, a, b)
 
 
+def degrees_against(store, concept: ConceptId, constraint_concepts: list[ConceptId]):
+    """``constraint_degrees`` of ``concept``, bound as E1, against each constraint concept."""
+    constraints = tuple(SelectionConstraint(Role.E1, c) for c in constraint_concepts)
+    sense = VerbSense("S-1", "s", "target", "", constraints, {})
+    args = ArgumentStructure("s", {Role.E1: Binding("m-1", concept)})
+    return constraint_degrees(sense, args, store)
+
+
+def check_every_pair_against_oracle(seed: int) -> None:
+    """Every ordered pair of one random DAG, listed shuffled: the LCS, ``con_sim``,
+    ``is_a``, and the constraint degree (exactly 1 on subsumption, else ``con_sim``)."""
+    rng = random.Random(seed)
+    parents = random_rooted_dag(rng, max_nodes=24)
+    order = list(parents)
+    rng.shuffle(order)
+    store = store_from({name: parents[name] for name in order})
+    names = sorted(parents)
+    for a in names:
+        above = oracle_up_distances(parents, a)
+        degrees = degrees_against(store, small_id(a), [small_id(b) for b in names])
+        for b, degree in zip(names, degrees):
+            where = f"seed={seed} pair=({a}, {b})"
+            got = least_common_superconcept(store, small_id(a), small_id(b))
+            assert (got.lcs.name, got.n1, got.n2, got.n3) == oracle_lcs(parents, a, b), where
+            sim = oracle_con_sim(parents, a, b)
+            assert con_sim(store, small_id(a), small_id(b)) == sim, where
+            assert store.is_a(small_id(a), small_id(b)) == (b in above), where
+            assert degree.degree == (1 if b in above else sim), where
+
+
 def check_indices_against_oracle(seed: int) -> None:
     """Every node's depth, up-distances and place in ``depth``'s order,
     with concepts listed shuffled."""
@@ -417,6 +483,10 @@ class TestAgainstBruteForce:
     def test_seeded_random_dags(self):
         for seed in range(150):
             check_against_oracle(seed)
+
+    def test_shuffled_random_dags_every_pair(self):
+        for seed in range(150):
+            check_every_pair_against_oracle(seed)
 
     def test_shuffled_random_dag_indices(self):
         for seed in range(150):
@@ -458,3 +528,87 @@ class TestProperties:
             con_sim(store, small_id("c0"), small_id(f"c{i}")) for i in range(length)
         ]
         assert all(x > y for x, y in zip(sims, sims[1:]))
+
+
+def _via_degrees(store, concept: ConceptId, ancestor: ConceptId):
+    return degrees_against(store, concept, [ancestor])
+
+
+class TestKernelErrors:
+    """Each entry point names the unknown concept (first argument first) or domain."""
+
+    CALLS = [
+        (con_sim, "compare {} with {}"),
+        (least_common_superconcept, "compare {} with {}"),
+        (lambda store, a, b: store.is_a(a, b), "relate {} to {}"),
+        (_via_degrees, "relate {} to {}"),
+    ]
+    IDS = ["con_sim", "least_common_superconcept", "is_a", "constraint_degrees"]
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        return merge_stores([store_from(SMALL, "one"), store_from(SMALL, "two")])
+
+    @pytest.mark.parametrize("call", [call for call, _ in CALLS], ids=IDS)
+    @pytest.mark.parametrize(
+        "left, right, message",
+        [
+            ("one:nope", "one:B", "domain 'one' has no concept 'nope'"),
+            ("one:B", "one:nope", "domain 'one' has no concept 'nope'"),
+            ("one:first", "one:second", "domain 'one' has no concept 'first'"),
+            ("three:B", "three:B", "unknown domain 'three'"),
+        ],
+    )
+    def test_unknown_name_or_domain(self, store, call, left, right, message):
+        with pytest.raises(UnknownConceptError) as err:
+            call(store, ConceptId(*left.split(":")), ConceptId(*right.split(":")))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("call, verb", CALLS, ids=IDS)
+    def test_cross_domain_pair(self, store, call, verb):
+        a, b = ConceptId("one", "B"), ConceptId("two", "nope")
+        with pytest.raises(CrossDomainError) as err:
+            call(store, a, b)
+        assert str(err.value) == f"cannot {verb.format(a, b)}: different domains"
+
+
+class TestSharedSimilarityValues:
+    """Counts, not timings: a warm kernel makes no ``Fraction`` per call."""
+
+    def test_warm_con_sim_builds_no_fraction(self):
+        store = load_bundled_store()
+        pairs = [
+            (ConceptId(domain, a), ConceptId(domain, b))
+            for domain, dom in store.domains.items()
+            for a in dom.nodes
+            for b in dom.nodes
+        ]
+        want = [con_sim(store, a, b) for a, b in pairs]
+        built = []
+        saved = vars(Fraction)["__new__"]
+        Fraction.__new__ = staticmethod(lambda cls, *a, **k: built.append(a) or saved(cls, *a, **k))
+        try:
+            again = [con_sim(store, a, b) for a, b in pairs]
+        finally:
+            Fraction.__new__ = saved
+        assert again == want and len(pairs) > 1000
+        assert built == []
+
+    def test_bundled_clauses_add_no_value_on_a_second_pass(self):
+        store = load_bundled_store()
+        lexicon = load_bundled_lexicon(store)
+        tree = load_bundled_tree(store, lexicon.nominal_domain)
+        clauses = [
+            to_argument_structure(record, store, lexicon.nominal_domain)
+            for name in (CORPUS_FILE, COUNTS_FILE)
+            for record in load_corpus(bundled_text(name)).records
+        ]
+        _similarity.cache_clear()
+        sizes = []
+        for _ in range(2):
+            for args in clauses:
+                translate(lexicon, store, args, SelectionConfig(), tree)
+            sizes.append(_similarity.cache_info().currsize)
+        deepest = max(max(dom.depth.values()) for dom in store.domains.values())
+        assert len(clauses) == 162
+        assert 0 < sizes[0] == sizes[1] <= deepest**2
