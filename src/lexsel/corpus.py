@@ -1,10 +1,10 @@
 """Clause corpora (JSON Lines), batch evaluation, and gold-label counts.
 
-A corpus file holds one JSON object per line.  An optional first line of
-the form ``{"markers": [...], "note": "..."}`` declares the closed set of
-context markers; records may only use declared markers.  Each record is
-``{"id", "source_lexeme", "bindings": {"E0"?, "E1"?, "E2"?},
-"context": [...], "gold"?}``.
+A corpus file holds one JSON object per line.  An optional first line
+whose keys are all ``markers`` or ``note`` (``{"markers": [...], "note":
+"..."}``) declares the closed set of context markers; records may only use
+declared markers.  Each record is ``{"id", "source_lexeme", "bindings":
+{"E0"?, "E1"?, "E2"?}, "context": [...], "gold"?}``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from .errors import CorpusFormatError, VocabularyGapError, parse_json
 from .lexicon import _ROLES, ArgumentStructure, Lexicon, Role, resolve_mention
 from .selector import SelectionConfig, TreeNode, translate
 from .taxonomy import TaxonomyStore
+
+_HEADER_KEYS = frozenset(("markers", "note"))  # a first line with only these is the header
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ def load_corpus(text: str) -> Corpus:
         raw = parse_json(line, CorpusFormatError, f"line {lineno}")
         if not isinstance(raw, dict):
             raise CorpusFormatError(f"line {lineno}: record must be an object")
-        if first_content_line and "source_lexeme" not in raw and "id" not in raw:
+        if first_content_line and raw.keys() <= _HEADER_KEYS:
             # header line declaring the closed marker set
             raw_markers = raw.get("markers", [])
             if not isinstance(raw_markers, list) or not all(

@@ -102,10 +102,12 @@ class AncestorIndex(dict):
     """Concept name -> ``{ancestor: min edges}``, each map filled on first lookup.
 
     A map holds the concept itself at 0 and every ancestor at its fewest
-    edges, found by a breadth-first walk up the parent edges.  At most one
-    map is stored per concept asked for, so the index never holds more
-    entries than one map per concept of the domain.  An unknown name
-    raises ``KeyError`` and stores nothing.
+    edges.  A concept whose single parent's map is already filled gets
+    that map one edge further away; any other map is found by a
+    breadth-first walk up the parent edges, so no map is filled only to
+    derive another.  At most one map is stored per concept asked for, so
+    the index never holds more entries than one map per concept of the
+    domain.  An unknown name raises ``KeyError`` and stores nothing.
     """
 
     __slots__ = ("_nodes",)
@@ -116,13 +118,19 @@ class AncestorIndex(dict):
 
     def __missing__(self, name: str) -> dict[str, int]:
         nodes = self._nodes
-        dist = {name: 0}
-        queue = [(name, 1)]  # (concept, edges from ``name`` to its parents)
-        for concept, edges in queue:  # breadth first: the loop reaches what it appends
-            for parent in nodes[concept].parents:
-                if parent not in dist:
-                    dist[parent] = edges
-                    queue.append((parent, edges + 1))
+        parents = nodes[name].parents
+        above = self.get(parents[0]) if len(parents) == 1 else None  # ``get`` fills nothing
+        if above is not None:
+            dist = {ancestor: edges + 1 for ancestor, edges in above.items()}
+            dist[name] = 0
+        else:
+            dist = {name: 0}
+            queue = [(name, 1)]  # (concept, edges from ``name`` to its parents)
+            for concept, edges in queue:  # breadth first: the loop reaches what it appends
+                for parent in nodes[concept].parents:
+                    if parent not in dist:
+                        dist[parent] = edges
+                        queue.append((parent, edges + 1))
         self[name] = dist
         return dist
 
@@ -135,7 +143,9 @@ class DomainTaxonomy:
     children, and the DAG may be of any depth.  Treat instances as
     immutable after construction.  ``build`` checks the structure and
     derives every depth; ``up`` fills a concept's ancestor map the first
-    time it is looked up (see ``AncestorIndex``).
+    time it is looked up (see ``AncestorIndex``).  Two private memos keep
+    answers that depend only on the domain: ``_lcs`` per concept pair and
+    ``_near`` per widening request.
     """
 
     domain: str
@@ -143,6 +153,10 @@ class DomainTaxonomy:
     root: str
     depth: dict[str, int] = field(repr=False)  # insertion order lists parents first
     up: AncestorIndex = field(repr=False, compare=False)  # min edges to each ancestor
+    # (c1, c2) names -> ``_lcs`` result, at most _LCS_MEMO_CAP entries
+    _lcs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (name, max_size, floor) -> ``neighborhood`` result
+    _near: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, domain: str, nodes: dict[str, ConceptNode]) -> "DomainTaxonomy":
@@ -221,8 +235,8 @@ class TaxonomyStore:
         return dom is not None and concept.name in dom.nodes
 
     def is_a(self, concept: ConceptId, ancestor: ConceptId) -> bool:
-        """Reflexive-transitive subsumption within one domain."""
-        return ancestor.name in _ancestor_maps(self, concept, ancestor, _RELATE)[1]
+        """Reflexive-transitive subsumption within one domain: an ancestor is its own LCS."""
+        return _lcs(self, concept, ancestor, _RELATE)[2] == ancestor.name
 
     def resolve(self, token: str) -> ConceptId:
         """Resolve ``domain:name`` or a bare name unique across domains."""
@@ -310,22 +324,11 @@ def merge_stores(stores: Iterable[TaxonomyStore]) -> TaxonomyStore:
 
 
 _ONE = Fraction(1)
+# Per domain; an entry is a key pair, a result triple and a slot, ~150 bytes plus any
+# name strings only the key holds, so ~2.5-4.5 MB at the cap (see README).
+_LCS_MEMO_CAP = 1 << 14
 _COMPARE = "cannot compare {} with {}: different domains"
 _RELATE = "cannot relate {} to {}: different domains"
-
-
-def _ancestor_maps(
-    store: TaxonomyStore, c1: ConceptId, c2: ConceptId, mismatch: str
-) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
-    """Depths and the two ancestor maps; ``mismatch`` formats a cross-domain error."""
-    if c1.domain != c2.domain:
-        raise CrossDomainError(mismatch.format(c1, c2))
-    dom = store.domain(c1.domain)
-    try:
-        return dom.depth, dom.up[c1.name], dom.up[c2.name]
-    except KeyError as missing:  # an unknown name: ``require`` raises its error
-        dom.require(missing.args[0])
-        raise
 
 
 def _lcs(
@@ -334,23 +337,43 @@ def _lcs(
     """``(n1 + n2, n3, name)`` of the least common superconcept of c1 and c2.
 
     Deepest first, then fewest edges, then smallest name: c2 when it subsumes
-    c1, otherwise found by one walk over the smaller ancestor map."""
-    depth, up1, up2 = _ancestor_maps(store, c1, c2, mismatch)
+    c1, otherwise found by one walk over the smaller ancestor map.  Each
+    domain keeps the first _LCS_MEMO_CAP pairs it answers; ``mismatch``
+    formats a cross-domain error."""
+    if c1.domain != c2.domain:
+        raise CrossDomainError(mismatch.format(c1, c2))
+    dom = store.domain(c1.domain)
+    memo, key = dom._lcs, (c1.name, c2.name)
+    found = memo.get(key)
+    if found is not None:  # only a pair of known names is stored
+        return found
+    depth = dom.depth
+    try:
+        up1, up2 = dom.up[c1.name], dom.up[c2.name]
+    except KeyError as missing:  # an unknown name: ``require`` raises its error
+        dom.require(missing.args[0])
+        raise
     edges = up1.get(c2.name)
     if edges is not None:  # every other ancestor of c2 is shallower
-        return edges, depth[c2.name], c2.name
-    if len(up2) < len(up1):
-        up1, up2 = up2, up1
-    best, best_depth, best_edges = "", 0, 0
-    for name, edges in up1.items():
-        other = up2.get(name)
-        if other is not None:  # the root is shared, so a best is always found
-            d = depth[name]
-            if d >= best_depth:
-                edges += other
-                if d > best_depth or edges < best_edges or (edges == best_edges and name < best):
-                    best, best_depth, best_edges = name, d, edges
-    return best_edges, best_depth, best
+        found = edges, depth[c2.name], c2.name
+    else:
+        if len(up2) < len(up1):
+            up1, up2 = up2, up1
+        best, best_depth, best_edges = "", 0, 0
+        for name, edges in up1.items():
+            other = up2.get(name)
+            if other is not None:  # the root is shared, so a best is always found
+                d = depth[name]
+                if d >= best_depth:
+                    edges += other
+                    if d > best_depth or edges < best_edges or (
+                        edges == best_edges and name < best
+                    ):
+                        best, best_depth, best_edges = name, d, edges
+        found = best_edges, best_depth, best
+    if len(memo) < _LCS_MEMO_CAP:
+        memo[key] = found
+    return found
 
 
 def _degree(store: TaxonomyStore, concept: ConceptId, ancestor: ConceptId) -> Fraction:
@@ -393,14 +416,20 @@ def neighborhood(
     so its key is the smallest parent key with one edge added: the LCS
     rule is deepest first, then fewest edges.  Distinct keys can give the
     same similarity, so concepts are grouped by the exact ``Fraction``,
-    and names are sorted within each group.
+    and names are sorted within each group.  Each domain keeps the result
+    per ``(name, max_size, floor)`` and hands out a fresh list.
     """
-    if not isinstance(max_size, int) or max_size < 1:
+    if isinstance(max_size, bool) or not isinstance(max_size, int) or max_size < 1:
         raise ValueError(f"max_size must be an int >= 1, got {max_size!r}")
-    if not isinstance(floor, (int, Fraction)) or not 0 <= floor <= 1:
+    if (isinstance(floor, bool) or not isinstance(floor, (int, Fraction))
+            or not 0 <= floor <= 1):
         raise ValueError(f"floor must be an int or a Fraction within [0, 1], got {floor!r}")
     dom = store.domain(concept.domain)
     dom.require(concept.name)
+    memo_key = (concept.name, max_size, floor)
+    found = dom._near.get(memo_key)
+    if found is not None:
+        return list(found)
     up, nodes = dom.up[concept.name], dom.nodes
     keys: dict[str, tuple[int, int]] = {}
     by_key: dict[tuple[int, int], list[str]] = {}
@@ -420,4 +449,5 @@ def neighborhood(
         if sim < floor or len(scored) >= max_size:
             break
         scored += [(ConceptId(concept.domain, name), sim) for name in sorted(by_sim[sim])]
-    return scored[:max_size]
+    dom._near[memo_key] = found = tuple(scored[:max_size])
+    return list(found)

@@ -400,6 +400,8 @@ CORPUS = [
      "line 2: record 'r1' uses undeclared marker 'm'"),
     ("second-header-is-a-record", _corpus(HEADER, '{"markers": ["m"]}'),
      "line 2: record needs a non-empty id"),
+    ("first-record-without-id", '{"bindings": {"E1": "cup-1"}, "gold": "dasui"}',
+     "line 1: record needs a non-empty id"),
 ]
 
 

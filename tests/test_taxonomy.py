@@ -46,7 +46,7 @@ from lexsel.bundled import (
     load_bundled_store,
     load_bundled_tree,
 )
-from lexsel.taxonomy import _similarity
+from lexsel.taxonomy import AncestorIndex, _similarity
 
 
 def store_from(parents: dict[str, tuple[str, ...]], domain: str = "synthetic"):
@@ -286,6 +286,10 @@ class TestNeighborhood:
             neighborhood(store, small_id("B"), max_size=5, floor=0.5)
         with pytest.raises(ValueError, match="max_size must be an int"):
             neighborhood(store, small_id("B"), max_size=2.5, floor=0)
+        with pytest.raises(ValueError, match="max_size must be an int"):
+            neighborhood(store, small_id("B"), max_size=True, floor=0)
+        with pytest.raises(ValueError, match="floor must be an int or a Fraction"):
+            neighborhood(store, small_id("B"), max_size=5, floor=True)
 
 
 class TestLoaderValidation:
@@ -422,16 +426,17 @@ def degrees_against(store, concept: ConceptId, constraint_concepts: list[Concept
     return constraint_degrees(sense, args, store)
 
 
-def check_every_pair_against_oracle(seed: int) -> None:
+def check_every_pair_against_oracle(seed: int, passes: int = 1):
     """Every ordered pair of one random DAG, listed shuffled: the LCS, ``con_sim``,
-    ``is_a``, and the constraint degree (exactly 1 on subsumption, else ``con_sim``)."""
+    ``is_a``, and the constraint degree (exactly 1 on subsumption, else ``con_sim``),
+    each asked ``passes`` times of one store, which is returned."""
     rng = random.Random(seed)
     parents = random_rooted_dag(rng, max_nodes=24)
     order = list(parents)
     rng.shuffle(order)
     store = store_from({name: parents[name] for name in order})
     names = sorted(parents)
-    for a in names:
+    for a in names * passes:
         above = oracle_up_distances(parents, a)
         degrees = degrees_against(store, small_id(a), [small_id(b) for b in names])
         for b, degree in zip(names, degrees):
@@ -442,6 +447,7 @@ def check_every_pair_against_oracle(seed: int) -> None:
             assert con_sim(store, small_id(a), small_id(b)) == sim, where
             assert store.is_a(small_id(a), small_id(b)) == (b in above), where
             assert degree.degree == (1 if b in above else sim), where
+    return store
 
 
 def check_indices_against_oracle(seed: int) -> None:
@@ -461,8 +467,9 @@ def check_indices_against_oracle(seed: int) -> None:
         )
 
 
-def check_neighborhood_against_oracle(seed: int) -> None:
-    """Every centre, floor and size of one random DAG, listed shuffled."""
+def check_neighborhood_against_oracle(seed: int, passes: int = 1):
+    """Every centre, floor and size of one random DAG, listed shuffled, each
+    asked ``passes`` times of one store, which is returned."""
     rng = random.Random(seed)
     parents = random_rooted_dag(rng, max_nodes=24)
     order = list(parents)
@@ -472,11 +479,12 @@ def check_neighborhood_against_oracle(seed: int) -> None:
     for concept in parents:
         for floor in floors:
             full = oracle_neighborhood(parents, concept, len(parents), floor)
-            for size in sorted({1, 3, 10, len(parents)}):
+            for size in sorted({1, 3, 10, len(parents)}) * passes:
                 got = neighborhood(store, small_id(concept), size, floor)
                 assert [(c.name, s) for c, s in got] == full[:size], (
                     f"seed={seed} concept={concept} size={size} floor={floor}"
                 )
+    return store
 
 
 class TestAgainstBruteForce:
@@ -612,3 +620,136 @@ class TestSharedSimilarityValues:
         deepest = max(max(dom.depth.values()) for dom in store.domains.values())
         assert len(clauses) == 162
         assert 0 < sizes[0] == sizes[1] <= deepest**2
+
+
+def bundled_clauses(store, lexicon):
+    return [
+        to_argument_structure(record, store, lexicon.nominal_domain)
+        for name in (CORPUS_FILE, COUNTS_FILE)
+        for record in load_corpus(bundled_text(name)).records
+    ]
+
+
+def memo_sizes(store) -> list[tuple[int, int]]:
+    return [(len(dom._lcs), len(dom._near)) for dom in store.domains.values()]
+
+
+class TestMemos:
+    """Each domain's LCS and widening memos answer exactly what a walk would."""
+
+    def test_pairs_asked_twice_match_the_oracle(self):
+        for seed in range(150):
+            dom = check_every_pair_against_oracle(seed, passes=2).domain("synthetic")
+            assert len(dom._lcs) == len(dom.nodes) ** 2, f"seed={seed}"
+
+    def test_neighborhoods_asked_twice_match_the_oracle(self):
+        for seed in range(150):
+            dom = check_neighborhood_against_oracle(seed, passes=2).domain("synthetic")
+            count = len(dom.nodes)
+            assert len(dom._near) == count * 5 * len({1, 3, 10, count}), f"seed={seed}"
+
+    def test_caller_cannot_change_a_kept_neighborhood(self):
+        store = store_from(SMALL)
+        first = neighborhood(store, small_id("B"), 10, 0)
+        want = list(first)
+        first.append((small_id("junk"), Fraction(1)))
+        second = neighborhood(store, small_id("B"), 10, 0)
+        assert second == want
+        second.clear()
+        assert neighborhood(store, small_id("B"), 10, 0) == want
+
+    def test_errors_repeat_and_store_nothing(self):
+        store = merge_stores([store_from(SMALL, "one"), store_from(SMALL, "two")])
+        one, two = ConceptId("one", "B"), ConceptId("two", "B")
+        nope = ConceptId("one", "nope")
+        calls = [
+            lambda: con_sim(store, nope, one),
+            lambda: least_common_superconcept(store, one, nope),
+            lambda: con_sim(store, one, two),
+            lambda: store.is_a(nope, one),
+            lambda: _via_degrees(store, one, two),
+            lambda: neighborhood(store, nope, 5, 0),
+            lambda: neighborhood(store, one, True, 0),
+            lambda: neighborhood(store, one, 5, Fraction(3, 2)),
+        ]
+        for call in calls:
+            raised = []
+            for _ in range(2):
+                with pytest.raises((UnknownConceptError, CrossDomainError, ValueError)) as err:
+                    call()
+                raised.append((type(err.value), str(err.value)))
+            assert raised[0] == raised[1]
+        assert memo_sizes(store) == [(0, 0), (0, 0)]
+        # a pair of the same names kept in one domain does not answer across domains
+        assert con_sim(store, one, one) == 1
+        with pytest.raises(CrossDomainError):
+            con_sim(store, one, two)
+        assert memo_sizes(store) == [(1, 0), (0, 0)]
+
+    def test_lcs_memo_stops_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr("lexsel.taxonomy._LCS_MEMO_CAP", 5)
+        dom = check_every_pair_against_oracle(7, passes=2).domain("synthetic")
+        assert len(dom.nodes) ** 2 > 5
+        assert len(dom._lcs) == 5
+
+    def test_second_bundled_pass_walks_nothing(self, monkeypatch):
+        """Every LCS walk and every neighbourhood pass reads an ancestor map."""
+        store = load_bundled_store()
+        lexicon = load_bundled_lexicon(store)
+        tree = load_bundled_tree(store, lexicon.nominal_domain)
+        clauses = bundled_clauses(store, lexicon)
+        lookups = []
+
+        def counted(index, name):
+            lookups.append(name)
+            return dict.__getitem__(index, name)
+
+        monkeypatch.setattr(AncestorIndex, "__getitem__", counted)
+        counts, sizes = [], []
+        for _ in range(2):
+            before = len(lookups)
+            for args in clauses:
+                translate(lexicon, store, args, SelectionConfig(), tree)
+            counts.append(len(lookups) - before)
+            sizes.append(memo_sizes(store))
+        assert len(clauses) == 162
+        assert counts[0] > 0 and counts[1] == 0
+        assert sizes[0] == sizes[1]
+
+
+def check_derived_maps_against_oracle(seed: int) -> None:
+    """Maps filled parents first (single-parent maps copied from the parent's)
+    equal maps filled children first (every map walked) and the oracle."""
+    rng = random.Random(seed)
+    parents = random_rooted_dag(rng)
+    order = list(parents)
+    rng.shuffle(order)
+    dom = store_from({name: parents[name] for name in order}).domain("synthetic")
+    walked = AncestorIndex(dom.nodes)
+    for name in reversed(dom.depth):
+        walked[name]
+    for name in dom.depth:
+        assert dom.up[name] == walked[name] == oracle_up_distances(parents, name), (
+            f"seed={seed} node={name}"
+        )
+
+
+class TestDerivedAncestorMaps:
+    def test_shuffled_random_dags(self):
+        for seed in range(150):
+            check_derived_maps_against_oracle(seed)
+
+    def test_very_deep_chain_fills_only_what_is_asked(self):
+        length = 20_000
+        parents = {"c0": ()}
+        for i in range(1, length):
+            parents[f"c{i}"] = (f"c{i - 1}",)
+        dom = store_from(parents).domain("synthetic")
+        leaf, above = f"c{length - 1}", f"c{length - 2}"
+        want = {f"c{i}": length - 1 - i for i in range(length)}
+        assert dom.up[leaf] == want
+        assert list(dom.up) == [leaf]  # no parent map is filled to derive a child's
+        fresh = store_from(parents).domain("synthetic")
+        fresh.up[above]
+        assert fresh.up[leaf] == want  # copied from the parent's map
+        assert list(fresh.up) == [above, leaf]
