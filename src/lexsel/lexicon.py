@@ -282,10 +282,9 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
                 projection=projection,
             )
         )
-    # a lookup fills the map, see taxonomy.AncestorIndex; parents first, so a
-    # single-parent concept's map is copied from its parent's
+    # a lookup fills the map, see taxonomy.AncestorIndex
     nominal_up = store.domains[nominal].up
-    for name in store.domains[nominal].depth:  # where every mention and constraint resolves
+    for name in nominal_nodes:  # where every mention and constraint resolves
         nominal_up[name]
     for sense in senses:
         for slot in sense.projection.values():

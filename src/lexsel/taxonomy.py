@@ -102,12 +102,10 @@ class AncestorIndex(dict):
     """Concept name -> ``{ancestor: min edges}``, each map filled on first lookup.
 
     A map holds the concept itself at 0 and every ancestor at its fewest
-    edges.  A concept whose single parent's map is already filled gets
-    that map one edge further away; any other map is found by a
-    breadth-first walk up the parent edges, so no map is filled only to
-    derive another.  At most one map is stored per concept asked for, so
-    the index never holds more entries than one map per concept of the
-    domain.  An unknown name raises ``KeyError`` and stores nothing.
+    edges, found by a breadth-first walk up the parent edges.  At most one
+    map is stored per concept asked for, so the index never holds more
+    entries than one map per concept of the domain.  An unknown name
+    raises ``KeyError`` and stores nothing.
     """
 
     __slots__ = ("_nodes",)
@@ -118,19 +116,13 @@ class AncestorIndex(dict):
 
     def __missing__(self, name: str) -> dict[str, int]:
         nodes = self._nodes
-        parents = nodes[name].parents
-        above = self.get(parents[0]) if len(parents) == 1 else None  # ``get`` fills nothing
-        if above is not None:
-            dist = {ancestor: edges + 1 for ancestor, edges in above.items()}
-            dist[name] = 0
-        else:
-            dist = {name: 0}
-            queue = [(name, 1)]  # (concept, edges from ``name`` to its parents)
-            for concept, edges in queue:  # breadth first: the loop reaches what it appends
-                for parent in nodes[concept].parents:
-                    if parent not in dist:
-                        dist[parent] = edges
-                        queue.append((parent, edges + 1))
+        dist = {name: 0}
+        queue = [(name, 1)]  # (concept, edges from ``name`` to its parents)
+        for concept, edges in queue:  # breadth first: the loop reaches what it appends
+            for parent in nodes[concept].parents:
+                if parent not in dist:
+                    dist[parent] = edges
+                    queue.append((parent, edges + 1))
         self[name] = dist
         return dist
 
@@ -235,8 +227,13 @@ class TaxonomyStore:
         return dom is not None and concept.name in dom.nodes
 
     def is_a(self, concept: ConceptId, ancestor: ConceptId) -> bool:
-        """Reflexive-transitive subsumption within one domain: an ancestor is its own LCS."""
-        return _lcs(self, concept, ancestor, _RELATE)[2] == ancestor.name
+        """Reflexive-transitive subsumption within one domain."""
+        if concept.domain != ancestor.domain:
+            raise CrossDomainError(_RELATE.format(concept, ancestor))
+        dom = self.domain(concept.domain)
+        dom.require(concept.name)
+        dom.require(ancestor.name)
+        return ancestor.name in dom.up[concept.name]
 
     def resolve(self, token: str) -> ConceptId:
         """Resolve ``domain:name`` or a bare name unique across domains."""
