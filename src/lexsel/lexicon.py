@@ -282,14 +282,14 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
                 projection=projection,
             )
         )
-    # a lookup fills the map, see taxonomy.AncestorIndex
-    nominal_up = store.domains[nominal].up
+    # fill the ancestor maps clauses read, so that no clause pays for a walk
+    nominal_dom = store.domains[nominal]
     for name in nominal_nodes:  # where every mention and constraint resolves
-        nominal_up[name]
+        nominal_dom.ancestors(name)
     for sense in senses:
         for slot in sense.projection.values():
             if slot.concept is not None:
-                store.domains[slot.domain].up[slot.concept.name]
+                store.domains[slot.domain].ancestors(slot.concept.name)
     return Lexicon(nominal_domain=nominal, senses=senses)
 
 

@@ -59,6 +59,8 @@ class SelectionConfig:
             raise LexselError(f"max_candidates must be an int, got {self.max_candidates!r}")
         if self.max_candidates < 1:
             raise LexselError(f"max_candidates must be >= 1, got {self.max_candidates}")
+        if not isinstance(self.weights, DomainWeights):
+            raise LexselError(f"weights must be a DomainWeights, got {self.weights!r}")
 
 
 @dataclass(frozen=True)

@@ -98,53 +98,25 @@ def collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-class AncestorIndex(dict):
-    """Concept name -> ``{ancestor: min edges}``, each map filled on first lookup.
-
-    A map holds the concept itself at 0 and every ancestor at its fewest
-    edges, found by a breadth-first walk up the parent edges.  At most one
-    map is stored per concept asked for, so the index never holds more
-    entries than one map per concept of the domain.  An unknown name
-    raises ``KeyError`` and stores nothing.
-    """
-
-    __slots__ = ("_nodes",)
-
-    def __init__(self, nodes: dict[str, ConceptNode]):
-        super().__init__()
-        self._nodes = nodes
-
-    def __missing__(self, name: str) -> dict[str, int]:
-        nodes = self._nodes
-        dist = {name: 0}
-        queue = [(name, 1)]  # (concept, edges from ``name`` to its parents)
-        for concept, edges in queue:  # breadth first: the loop reaches what it appends
-            for parent in nodes[concept].parents:
-                if parent not in dist:
-                    dist[parent] = edges
-                    queue.append((parent, edges + 1))
-        self[name] = dist
-        return dist
-
-
 @dataclass(frozen=True)
 class DomainTaxonomy:
-    """One validated domain: nodes, depths and the ancestor index.
+    """One validated domain: nodes, depths and ancestor maps.
 
     Concepts may be listed in any order, parents before or after their
     children, and the DAG may be of any depth.  Treat instances as
     immutable after construction.  ``build`` checks the structure and
-    derives every depth; ``up`` fills a concept's ancestor map the first
-    time it is looked up (see ``AncestorIndex``).  Two private memos keep
-    answers that depend only on the domain: ``_lcs`` per concept pair and
-    ``_near`` per widening request.
+    derives every depth; ``ancestors`` fills a concept's ancestor map the
+    first time it is asked for.  Three private memos keep answers that
+    depend only on the domain: ``_up`` per concept, ``_lcs`` per concept
+    pair and ``_near`` per widening request.
     """
 
     domain: str
     nodes: dict[str, ConceptNode]
     root: str
     depth: dict[str, int] = field(repr=False)  # insertion order lists parents first
-    up: AncestorIndex = field(repr=False, compare=False)  # min edges to each ancestor
+    # name -> ``ancestors`` result, at most one map per concept of the domain
+    _up: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (c1, c2) names -> ``_lcs`` result, at most _LCS_MEMO_CAP entries
     _lcs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (name, max_size, floor) -> ``neighborhood`` result
@@ -202,12 +174,31 @@ class DomainTaxonomy:
                     stack.pop()
                     on_path.discard(name)
                     finish(name, nodes[name].parents)
-        return cls(domain=domain, nodes=nodes, root=roots[0], depth=depth,
-                   up=AncestorIndex(nodes))
+        return cls(domain=domain, nodes=nodes, root=roots[0], depth=depth)
 
     def require(self, name: str) -> None:
         if name not in self.nodes:
             raise UnknownConceptError(f"domain {self.domain!r} has no concept {name!r}")
+
+    def ancestors(self, name: str) -> dict[str, int]:
+        """``{ancestor: min edges}`` of ``name``, itself at 0: walked breadth first
+        up the parent edges on the first call and stored.  An unknown name raises
+        ``require``'s error and stores nothing."""
+        dist = self._up.get(name)
+        if dist is None:
+            self.require(name)
+            nodes, dist = self.nodes, {name: 0}
+            queue = [(name, 1)]  # (concept, edges from ``name`` to its parents)
+            for concept, edges in queue:  # breadth first: the loop reaches what it appends
+                for parent in nodes[concept].parents:
+                    if parent not in dist:
+                        dist[parent] = edges
+                        queue.append((parent, edges + 1))
+            self._up[name] = dist
+        return dist
+
+    # every concept's ``ancestors`` map, all filled: ``lexbench/gen.py``'s self-test reads it
+    up = property(lambda self: {name: self.ancestors(name) for name in self.nodes})
 
 
 @dataclass(frozen=True)
@@ -233,7 +224,7 @@ class TaxonomyStore:
         dom = self.domain(concept.domain)
         dom.require(concept.name)
         dom.require(ancestor.name)
-        return ancestor.name in dom.up[concept.name]
+        return ancestor.name in dom.ancestors(concept.name)
 
     def resolve(self, token: str) -> ConceptId:
         """Resolve ``domain:name`` or a bare name unique across domains."""
@@ -345,11 +336,8 @@ def _lcs(
     if found is not None:  # only a pair of known names is stored
         return found
     depth = dom.depth
-    try:
-        up1, up2 = dom.up[c1.name], dom.up[c2.name]
-    except KeyError as missing:  # an unknown name: ``require`` raises its error
-        dom.require(missing.args[0])
-        raise
+    dom.require(c1.name)  # c1's error first, and a failing pair fills no map
+    up2, up1 = dom.ancestors(c2.name), dom.ancestors(c1.name)
     edges = up1.get(c2.name)
     if edges is not None:  # every other ancestor of c2 is shallower
         found = edges, depth[c2.name], c2.name
@@ -385,7 +373,7 @@ def least_common_superconcept(store: TaxonomyStore, c1: ConceptId, c2: ConceptId
     Ties on depth are broken by minimal n1+n2, then by concept name.
     """
     edges, depth, lcs = _lcs(store, c1, c2)
-    n1 = store.domains[c1.domain].up[c1.name][lcs]
+    n1 = store.domains[c1.domain].ancestors(c1.name)[lcs]
     return PathMetrics(n1, edges - n1, depth, ConceptId(c1.domain, lcs))
 
 
@@ -422,12 +410,11 @@ def neighborhood(
             or not 0 <= floor <= 1):
         raise ValueError(f"floor must be an int or a Fraction within [0, 1], got {floor!r}")
     dom = store.domain(concept.domain)
-    dom.require(concept.name)
     memo_key = (concept.name, max_size, floor)
     found = dom._near.get(memo_key)
-    if found is not None:
+    if found is not None:  # only a known name is stored
         return list(found)
-    up, nodes = dom.up[concept.name], dom.nodes
+    up, nodes = dom.ancestors(concept.name), dom.nodes
     keys: dict[str, tuple[int, int]] = {}
     by_key: dict[tuple[int, int], list[str]] = {}
     for name, depth in dom.depth.items():  # parents before children

@@ -322,10 +322,10 @@ class TestLoaderValidation:
 class TestLoaderSideEffects:
     def test_lexicon_load_fills_every_reachable_concepts_ancestor_map(self):
         store = merge_stores(load_taxonomy(bundled_text(name)) for name in TAXONOMY_FILES)
-        assert all(len(dom.up) == 0 for dom in store.domains.values())
+        assert all(len(dom._up) == 0 for dom in store.domains.values())
         lexicon = load_lexicon(bundled_text(LEXICON_FILE), store)
         nominal = store.domains[lexicon.nominal_domain]
-        assert set(nominal.up) == set(nominal.nodes)  # mentions and constraints
+        assert set(nominal._up) == set(nominal.nodes)  # mentions and constraints
         slots = {
             slot.concept
             for s in lexicon.senses.values()
@@ -334,7 +334,7 @@ class TestLoaderSideEffects:
         }
         assert slots
         for concept in slots:
-            assert concept.name in store.domains[concept.domain].up, concept  # no lookup
+            assert concept.name in store.domains[concept.domain]._up, concept  # no lookup
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("valid", [True, False])

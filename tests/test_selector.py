@@ -288,6 +288,11 @@ class TestSelectionConfig:
             ({"floor": True}, "floor must be an int or a Fraction, got True"),
             ({"max_candidates": 2.5}, "max_candidates must be an int, got 2.5"),
             ({"max_candidates": True}, "max_candidates must be an int, got True"),
+            # a plain mapping would fail only later, inside ``translate``
+            (
+                {"weights": {"ch-of-state": 2}},
+                "weights must be a DomainWeights, got {'ch-of-state': 2}",
+            ),
         ],
     )
     def test_rejects_out_of_range(self, bad, message):

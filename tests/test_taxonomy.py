@@ -47,7 +47,7 @@ from lexsel.bundled import (
     load_bundled_store,
     load_bundled_tree,
 )
-from lexsel.taxonomy import AncestorIndex, _similarity
+from lexsel.taxonomy import DomainTaxonomy, _similarity
 
 
 def store_from(parents: dict[str, tuple[str, ...]], domain: str = "synthetic"):
@@ -140,7 +140,7 @@ class TestBuild:
     def test_diamond_up_distances(self):
         parents = {"root": (), "A": ("root",), "B": ("root",), "C": ("A", "B")}
         dom = store_from(parents).domain("synthetic")
-        assert dom.up["C"] == {"C": 0, "A": 1, "B": 1, "root": 2}
+        assert dom.ancestors("C") == {"C": 0, "A": 1, "B": 1, "root": 2}
         assert dom.depth == {"root": 1, "A": 2, "B": 2, "C": 3}
 
     @pytest.mark.parametrize("child_first", [False, True])
@@ -154,7 +154,7 @@ class TestBuild:
         dom = store_from(parents).domain("synthetic")
         leaf = f"c{length - 1}"
         assert dom.depth[leaf] == length
-        assert dom.up[leaf] == {f"c{i}": length - 1 - i for i in range(length)}
+        assert dom.ancestors(leaf) == {f"c{i}": length - 1 - i for i in range(length)}
         assert list(dom.depth) == [f"c{i}" for i in range(length)]
 
     def test_very_deep_chain_answers_exactly(self):
@@ -186,19 +186,28 @@ class TestBuild:
             Fraction(length - 1, length),
         ]
 
-    def test_ancestor_maps_fill_on_first_lookup(self):
+    def test_ancestor_maps_fill_on_first_call(self):
         dom = store_from(SMALL).domain("synthetic")
-        assert len(dom.up) == 0
-        first = dom.up["C"]
+        assert len(dom._up) == 0
+        first = dom.ancestors("C")
         assert first == {"C": 0, "A": 1, "root": 2}
-        assert dom.up["C"] is first
-        assert list(dom.up) == ["C"]
+        assert dom.ancestors("C") is first
+        assert list(dom._up) == ["C"]
 
     def test_unknown_name_raises_and_stores_nothing(self):
-        dom = store_from(SMALL).domain("synthetic")
-        with pytest.raises(KeyError):
-            dom.up["nope"]
-        assert len(dom.up) == 0
+        store = store_from(SMALL)
+        dom = store.domain("synthetic")
+        for _ in range(2):
+            with pytest.raises(UnknownConceptError) as err:
+                dom.ancestors("nope")
+            assert str(err.value) == "domain 'synthetic' has no concept 'nope'"
+        # a failing pair whose first name is known fills no map either
+        known, nope = small_id("C"), small_id("nope")
+        with pytest.raises(UnknownConceptError, match="has no concept 'nope'"):
+            store.is_a(known, nope)
+        with pytest.raises(UnknownConceptError, match="has no concept 'nope'"):
+            least_common_superconcept(store, known, nope)
+        assert len(dom._up) == 0
 
     @pytest.mark.parametrize(
         "parents",
@@ -462,7 +471,7 @@ def check_indices_against_oracle(seed: int) -> None:
     position = {name: i for i, name in enumerate(dom.depth)}  # lists parents first
     for name in parents:
         assert dom.depth[name] == oracle_depth(parents, name), f"seed={seed} node={name}"
-        assert dom.up[name] == oracle_up_distances(parents, name), f"seed={seed} node={name}"
+        assert dom.ancestors(name) == oracle_up_distances(parents, name), f"seed={seed} node={name}"
         assert all(position[p] < position[name] for p in parents[name]), (
             f"seed={seed} node={name}"
         )
@@ -477,9 +486,13 @@ def check_neighborhood_against_oracle(seed: int, passes: int = 1):
     rng.shuffle(order)
     store = store_from({name: parents[name] for name in order})
     floors = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(4, 5), Fraction(1))
-    for concept in parents:
+    for i, concept in enumerate(parents):
+        scan = oracle_neighborhood(parents, concept, len(parents), Fraction(0))
         for floor in floors:
-            full = oracle_neighborhood(parents, concept, len(parents), floor)
+            # the scan is sorted by similarity, so a floor keeps a prefix of it
+            full = [(name, sim) for name, sim in scan if sim >= floor]
+            if i == 0:  # one concept per DAG asks the oracle at every floor
+                assert full == oracle_neighborhood(parents, concept, len(parents), floor)
             for size in sorted({1, 3, 10, len(parents)}) * passes:
                 got = neighborhood(store, small_id(concept), size, floor)
                 assert [(c.name, s) for c, s in got] == full[:size], (
@@ -686,19 +699,21 @@ class TestMemos:
         assert len(dom._lcs) == 5
 
     def test_second_bundled_pass_walks_nothing(self, monkeypatch):
-        """Every LCS walk and every neighbourhood pass reads an ancestor map;
-        on the second pass only ``is_a``'s membership tests read one."""
+        """Every LCS walk and every neighbourhood pass asks for an ancestor map;
+        on the second pass only ``is_a``'s membership tests ask for one."""
         store = load_bundled_store()
         lexicon = load_bundled_lexicon(store)
         tree = load_bundled_tree(store, lexicon.nominal_domain)
         clauses = bundled_clauses(store, lexicon)
         readers = []
 
-        def recorded(index, name):
-            readers.append(sys._getframe(1).f_code.co_name)
-            return dict.__getitem__(index, name)
+        ancestors = DomainTaxonomy.ancestors
 
-        monkeypatch.setattr(AncestorIndex, "__getitem__", recorded)
+        def recorded(dom, name):
+            readers.append(sys._getframe(1).f_code.co_name)
+            return ancestors(dom, name)
+
+        monkeypatch.setattr(DomainTaxonomy, "ancestors", recorded)
         passes, sizes = [], []
         for _ in range(2):
             before = len(readers)
