@@ -9,11 +9,10 @@ declared markers.  Each record is ``{"id", "source_lexeme", "bindings":
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .errors import CorpusFormatError, VocabularyGapError, parse_json
+from .errors import CorpusFormatError, LexselError, VocabularyGapError, parse_json
 from .lexicon import _ROLES, ArgumentStructure, Lexicon, Role, resolve_mention
 from .selector import SelectionConfig, TreeNode, translate
 from .taxonomy import TaxonomyStore
@@ -21,8 +20,7 @@ from .taxonomy import TaxonomyStore
 _HEADER_KEYS = frozenset(("markers", "note"))  # a first line with only these is the header
 
 
-@dataclass(frozen=True)
-class CorpusRecord:
+class CorpusRecord(NamedTuple):
     id: str
     source_lexeme: str
     bindings: tuple[tuple[Role, str], ...]  # role -> raw mention, in role order
@@ -31,8 +29,7 @@ class CorpusRecord:
     line: int
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     markers: frozenset[str]
     records: tuple[CorpusRecord, ...]
 
@@ -131,16 +128,14 @@ def to_argument_structure(
     )
 
 
-@dataclass(frozen=True)
-class EvalItem:
+class EvalItem(NamedTuple):
     id: str
     predicted: Optional[str]  # None when no realization was found
     gold: str
     match: bool
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     total: int
     correct: int
     accuracy: Fraction
@@ -157,21 +152,24 @@ def evaluate_corpus(
     """Translate every record and compare against its gold label.
 
     Every record must carry a gold label.  A vocabulary gap counts as an
-    incorrect prediction rather than aborting the run.
+    incorrect prediction rather than aborting the run; any other error is
+    raised as its own type, prefixed with the record's line and id.
     """
     if not corpus.records:
         raise CorpusFormatError("corpus has no records to evaluate")
     items: list[EvalItem] = []
     for record in corpus.records:
         if record.gold is None:
-            raise CorpusFormatError(f"record {record.id!r} has no gold label")
-        args = to_argument_structure(record, store, lexicon.nominal_domain)
+            raise _error(record.line, f"record {record.id!r} has no gold label")
         try:
+            args = to_argument_structure(record, store, lexicon.nominal_domain)
             predicted: Optional[str] = translate(
                 lexicon, store, args, config, tree, sentence_id=record.id
             ).lexeme
         except VocabularyGapError:
             predicted = None
+        except LexselError as exc:  # same type, located at the record
+            raise type(exc)(f"line {record.line}: record {record.id!r}: {exc}") from None
         items.append(
             EvalItem(
                 id=record.id,
@@ -196,6 +194,6 @@ def frequency_table(corpus: Corpus) -> tuple[tuple[str, int], ...]:
     counts: dict[str, int] = {}
     for record in corpus.records:
         if record.gold is None:
-            raise CorpusFormatError(f"record {record.id!r} has no gold label")
+            raise _error(record.line, f"record {record.id!r} has no gold label")
         counts[record.gold] = counts.get(record.gold, 0) + 1
     return tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))

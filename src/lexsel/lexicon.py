@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     LexiconFormatError,
@@ -59,14 +59,12 @@ _ARG_TOKENS = frozenset(_ROLES) | VARIABLE_PLACEHOLDERS | {EVENT_TOKEN, UNSPECIF
 _MENTION_SUFFIX = re.compile(r"-\d+$")
 
 
-@dataclass(frozen=True)
-class SelectionConstraint:
+class SelectionConstraint(NamedTuple):
     role: Role
     concept: ConceptId  # nominal domain
 
 
-@dataclass(frozen=True)
-class ProjectionSlot:
+class ProjectionSlot(NamedTuple):
     domain: str
     status: SlotStatus
     concept: Optional[ConceptId]  # None only for IMP (a bare '@')
@@ -79,8 +77,7 @@ class ProjectionSlot:
         return f"{self.domain} ({inner})"
 
 
-@dataclass(frozen=True)
-class VerbSense:
+class VerbSense(NamedTuple):
     sense_id: str
     lexeme: str
     language: str  # "source" or "target"
@@ -92,23 +89,21 @@ class VerbSense:
         return tuple(s for s in self.projection.values() if s.status is SlotStatus.OBL)
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     """An entity mention resolved to its nominal concept."""
 
     mention: str
     concept: ConceptId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: its default would be one dict shared by all
 class ArgumentStructure:
     source_lexeme: str
     bindings: dict[Role, Binding] = field(default_factory=dict)
     context_markers: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class InterRep:
+class InterRep(NamedTuple):
     """Language-neutral clause meaning: projection slots with roles filled."""
 
     sentence_id: str
@@ -204,7 +199,7 @@ def _parse_slot(raw: dict, store: TaxonomyStore, sense_id: str) -> ProjectionSlo
     for tok in args_raw:
         if not isinstance(tok, str) or tok not in _ARG_TOKENS:
             raise _error(sense_id, f"bad argument token {tok!r}")
-    return ProjectionSlot(domain, status, concept, tuple(args_raw))  # positional is cheaper
+    return ProjectionSlot(domain, status, concept, tuple(args_raw))
 
 
 @collector_paused()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import MatcherError, parse_fraction, parse_json
 from .lexicon import (
@@ -108,8 +108,7 @@ class DomainWeights:
         return cls(weights=weights, default_weight=default)
 
 
-@dataclass(frozen=True, slots=True)
-class DomainContribution:
+class DomainContribution(NamedTuple):
     domain: str
     weight: Fraction  # normalized share of the total
     similarity: Fraction
@@ -148,8 +147,7 @@ def word_sim_breakdown(
     return Fraction(num, den * total), tuple(parts)
 
 
-@dataclass(frozen=True, slots=True)
-class ConstraintDegree:
+class ConstraintDegree(NamedTuple):
     constraint: SelectionConstraint
     degree: Fraction
     bound_to: Optional[ConceptId]  # None when the role is unbound

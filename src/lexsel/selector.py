@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import DecisionTreeFormatError, LexselError, VocabularyGapError, parse_json
 from .lexicon import (
@@ -63,16 +63,14 @@ class SelectionConfig:
             raise LexselError(f"weights must be a DomainWeights, got {self.weights!r}")
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     sense_id: str
     score: MatchScore
     via_concept: ConceptId
     neighborhood_sim: Fraction
 
 
-@dataclass(frozen=True)
-class TreeTest:
+class TreeTest(NamedTuple):
     kind: str  # "is-a" | "has-marker" | "role-bound"
     value: Union[str, ConceptId]  # a nominal ConceptId for "is-a", a Role for "role-bound"
 
@@ -86,15 +84,13 @@ class TreeTest:
         return self.value in args.bindings  # role-bound
 
 
-@dataclass(frozen=True)
-class TreeBranch:
+class TreeBranch(NamedTuple):
     test: TreeTest
     then: "TreeNode"
     otherwise: "TreeNode"
 
 
-@dataclass(frozen=True)
-class TreeLeaf:
+class TreeLeaf(NamedTuple):
     action: ConceptId
 
 
@@ -260,8 +256,7 @@ def rerank_by_action(
     return sorted(ranking, key=key, reverse=True)
 
 
-@dataclass(frozen=True)
-class Translation:
+class Translation(NamedTuple):
     """Top pick plus everything needed to explain it; ``ranking[0]`` is the pick."""
 
     lexeme: str

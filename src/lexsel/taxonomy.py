@@ -56,8 +56,7 @@ class PathMetrics(NamedTuple):
         return _similarity(self.n1 + self.n2, self.n3)
 
 
-@dataclass(frozen=True)
-class ConceptNode:
+class ConceptNode(NamedTuple):
     id: ConceptId
     label: str  # ``load_taxonomy`` checks a document's label and stores ""
     parents: tuple[str, ...]  # parent concept names, same domain, sorted
@@ -201,8 +200,7 @@ class DomainTaxonomy:
     up = property(lambda self: {name: self.ancestors(name) for name in self.nodes})
 
 
-@dataclass(frozen=True)
-class TaxonomyStore:
+class TaxonomyStore(NamedTuple):
     """Immutable collection of domain taxonomies keyed by domain name."""
 
     domains: dict[str, DomainTaxonomy]
@@ -294,7 +292,6 @@ def load_taxonomy(text: str) -> TaxonomyStore:
                     raise TaxonomyFormatError(
                         f"domain {name!r}: concept {cname!r} lists a parent twice"
                     )
-            # positional arguments: keywords cost a frozen dataclass ~30% more
             nodes[cname] = ConceptNode(ConceptId(name, cname), "", parents)
         domains[name] = DomainTaxonomy.build(name, nodes)
     return TaxonomyStore(domains=domains)

@@ -210,6 +210,26 @@ class TestEval:
         assert code == 0
         assert "accuracy: 1/1" in out
 
+    def test_clause_error_names_the_record_and_exits_2(self, capsys, tmp_path):
+        from lexsel.bundled import CORPUS_FILE, bundled_text
+
+        bad = {
+            "id": "bad-9",
+            "source_lexeme": "break",
+            "bindings": {"E0": "john-1"},
+            "context": [],
+            "gold": "da-sui",
+        }
+        corpus = tmp_path / "bad.jsonl"
+        head = bundled_text(CORPUS_FILE).splitlines()[:4]  # the header and three records
+        corpus.write_text("\n".join(head + [json.dumps(bad)]) + "\n")
+        code = main(["eval", "--corpus", str(corpus)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 5: record 'bad-9': slot ch-of-state (%change-of-integrity E1) "
+            "needs role E1 but it is not bound\n"
+        )
+
     def test_missing_corpus_file_exits_2(self, capsys):
         code, _ = run(capsys, "eval", "--corpus", "/no/such/file.jsonl")
         assert code == 2

@@ -11,6 +11,9 @@ from lexsel import (
     CorpusRecord,
     Role,
     SelectionConfig,
+    UnboundRoleError,
+    UnknownConceptError,
+    UnknownLexemeError,
     evaluate_corpus,
     frequency_table,
     load_corpus,
@@ -185,8 +188,32 @@ class TestEvaluateCorpus:
     def test_requires_gold_labels(self, lexicon, store):
         record = {k: v for k, v in RECORD.items() if k != "gold"}
         corpus = load_corpus(lines(record))
-        with pytest.raises(CorpusFormatError, match="no gold label"):
+        with pytest.raises(CorpusFormatError, match="^line 1: record 'r1' has no gold label$"):
             evaluate_corpus(corpus, lexicon, store)
+
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            (
+                {"bindings": {"E0": "john-1"}},
+                UnboundRoleError,
+                "slot ch-of-state (%change-of-integrity E1) needs role E1 but it is not bound",
+            ),
+            (
+                {"bindings": {"E1": "unicorn-1"}},
+                UnknownConceptError,
+                "mention 'unicorn-1' does not name a concept in domain 'entity'",
+            ),
+            ({"source_lexeme": "shred"}, UnknownLexemeError, "unknown source lexeme 'shred'"),
+        ],
+        ids=["unbound-role", "unknown-mention", "unknown-lexeme"],
+    )
+    def test_clause_error_names_the_record(self, lexicon, store, change, error, message):
+        corpus = load_corpus(lines(RECORD, dict(RECORD, id="bad-9", **change)))
+        with pytest.raises(error) as caught:
+            evaluate_corpus(corpus, lexicon, store)
+        assert type(caught.value) is error  # re-raised as the same type
+        assert str(caught.value) == f"line 2: record 'bad-9': {message}"
 
     def test_rejects_empty_corpus(self, lexicon, store):
         with pytest.raises(CorpusFormatError, match="no records"):
@@ -223,5 +250,5 @@ class TestFrequencyTable:
 
     def test_rejects_missing_gold(self):
         record = {k: v for k, v in RECORD.items() if k != "gold"}
-        with pytest.raises(CorpusFormatError, match="no gold label"):
+        with pytest.raises(CorpusFormatError, match="^line 1: record 'r1' has no gold label$"):
             frequency_table(load_corpus(lines(record)))
