@@ -37,6 +37,7 @@ from .lexicon import (
     VerbSense,
     build_inter_rep,
     load_lexicon,
+    resolve_clause,
     resolve_mention,
 )
 from .matcher import (

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 from . import bundled
 from .corpus import Corpus, evaluate_corpus, frequency_table, load_corpus
 from .errors import LexselError, VocabularyGapError, parse_fraction
-from .lexicon import ArgumentStructure, Lexicon, Role, load_lexicon, resolve_mention
+from .lexicon import Lexicon, Role, load_lexicon, resolve_clause
 from .matcher import DomainWeights
 from .selector import SelectionConfig, Translation, TreeNode, load_decision_tree, translate
 from .taxonomy import TaxonomyStore, least_common_superconcept, load_taxonomy, merge_stores
@@ -254,10 +254,9 @@ def _explanation(result: Translation, lexicon: Lexicon) -> list[str]:
 
 def cmd_select(ns: argparse.Namespace) -> int:
     store, lexicon, tree, config = _load_pipeline(ns)
-    mentions = ((Role.E0, ns.e0), (Role.E1, ns.e1), (Role.E2, ns.e2))
-    bindings = {r: resolve_mention(store, lexicon.nominal_domain, m) for r, m in mentions
-                if m is not None}
-    args = ArgumentStructure(ns.lexeme, bindings, frozenset(ns.marker))
+    mentions = [(r, m) for r, m in ((Role.E0, ns.e0), (Role.E1, ns.e1), (Role.E2, ns.e2))
+                if m is not None]
+    args = resolve_clause(store, lexicon.nominal_domain, ns.lexeme, mentions, ns.marker)
     result = translate(lexicon, store, args, config, tree)
     ranked = [(i, lexicon.senses[r.sense_id].lexeme, r) for i, r in enumerate(result.ranking, 1)]
     doc = {

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import CorpusFormatError, LexselError, VocabularyGapError, parse_json
-from .lexicon import _ROLES, ArgumentStructure, Lexicon, Role, resolve_mention
+from .lexicon import _ROLES, ArgumentStructure, Lexicon, Role, resolve_clause
 from .selector import SelectionConfig, TreeNode, translate
 from .taxonomy import TaxonomyStore
 
@@ -117,14 +117,8 @@ def _parse_record(raw: dict, lineno: int, markers: frozenset[str]) -> CorpusReco
 def to_argument_structure(
     record: CorpusRecord, store: TaxonomyStore, nominal_domain: str
 ) -> ArgumentStructure:
-    bindings = {
-        role: resolve_mention(store, nominal_domain, mention)
-        for role, mention in record.bindings
-    }
-    return ArgumentStructure(
-        source_lexeme=record.source_lexeme,
-        bindings=bindings,
-        context_markers=frozenset(record.context),
+    return resolve_clause(
+        store, nominal_domain, record.source_lexeme, record.bindings, record.context
     )
 
 

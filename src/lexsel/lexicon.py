@@ -9,6 +9,10 @@ dict keyed by domain, in document order.  Selection
 constraints pair a thematic role (E0 agent, E1 patient, E2 instrument)
 with a nominal concept.
 
+``load_lexicon`` reads the sense list once, building the realization
+index (OBL concept -> target sense ids) while it loads.  ``resolve_clause``
+is the one place a clause's mentions are resolved.
+
 Placeholder tokens in slot arguments: ``@t0``/``@l0``/``@l1``/``@l2`` are
 unfilled time/space variables, ``*`` stands for the event itself, and a
 slot with no concept at all is written as a bare ``@`` in glosses.  The
@@ -18,9 +22,8 @@ placeholders are stored but carry no selection force.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     LexiconFormatError,
@@ -85,9 +88,6 @@ class VerbSense(NamedTuple):
     constraints: tuple[SelectionConstraint, ...]
     projection: dict[str, ProjectionSlot]  # keyed by domain, document order
 
-    def obl_slots(self) -> tuple[ProjectionSlot, ...]:
-        return tuple(s for s in self.projection.values() if s.status is SlotStatus.OBL)
-
 
 class Binding(NamedTuple):
     """An entity mention resolved to its nominal concept."""
@@ -96,10 +96,9 @@ class Binding(NamedTuple):
     concept: ConceptId
 
 
-@dataclass(frozen=True)  # not a NamedTuple: its default would be one dict shared by all
-class ArgumentStructure:
+class ArgumentStructure(NamedTuple):
     source_lexeme: str
-    bindings: dict[Role, Binding] = field(default_factory=dict)
+    bindings: dict[Role, Binding]
     context_markers: frozenset[str] = frozenset()
 
 
@@ -132,31 +131,34 @@ def resolve_mention(store: TaxonomyStore, nominal_domain: str, token: str) -> Bi
     )
 
 
-class Lexicon:
+def resolve_clause(
+    store: TaxonomyStore,
+    nominal_domain: str,
+    source_lexeme: str,
+    mentions: Iterable[tuple[Role, str]],
+    markers: Iterable[str] = (),
+) -> ArgumentStructure:
+    """A clause whose ``(role, raw mention)`` pairs resolve in the order given."""
+    bindings = {role: resolve_mention(store, nominal_domain, m) for role, m in mentions}
+    return ArgumentStructure(source_lexeme, bindings, frozenset(markers))
+
+
+class Lexicon(NamedTuple):
     """Validated sense inventory plus the target realization index."""
 
-    def __init__(self, nominal_domain: str, senses: list[VerbSense]):
-        self.nominal_domain = nominal_domain
-        self.senses: dict[str, VerbSense] = {s.sense_id: s for s in senses}
-        self._source_by_lexeme: dict[str, list[VerbSense]] = {}
-        by_concept: dict[ConceptId, list[str]] = {}
-        for sense in senses:  # document order preserved
-            if sense.language == "source":
-                self._source_by_lexeme.setdefault(sense.lexeme, []).append(sense)
-            else:
-                for slot in sense.obl_slots():
-                    assert slot.concept is not None
-                    by_concept.setdefault(slot.concept, []).append(sense.sense_id)
-        self._index = {c: tuple(sorted(ids)) for c, ids in by_concept.items()}
+    nominal_domain: str
+    senses: dict[str, VerbSense]  # keyed by sense id, document order
+    source_by_lexeme: dict[str, list[VerbSense]]  # source senses, document order
+    realizations: dict[ConceptId, tuple[str, ...]]  # OBL concept -> sorted target sense ids
 
     def source_senses(self, lexeme: str) -> list[VerbSense]:
         try:
-            return self._source_by_lexeme[lexeme]
+            return self.source_by_lexeme[lexeme]
         except KeyError:
             raise UnknownLexemeError(f"unknown source lexeme {lexeme!r}") from None
 
     def realization_ids(self, concept: ConceptId) -> tuple[str, ...]:
-        return self._index.get(concept, ())
+        return self.realizations.get(concept, ())
 
 
 def _error(sense_id: Optional[str], message: str) -> LexiconFormatError:
@@ -190,6 +192,7 @@ def _parse_slot(raw: dict, store: TaxonomyStore, sense_id: str) -> ProjectionSlo
             raise _error(sense_id, "slot concept must be a string")
         if cname not in dom.nodes:
             raise _error(sense_id, f"domain {domain!r} has no concept {cname!r}")
+        dom.ancestors(cname)  # filled now, so that no clause pays for the walk
         concept = ConceptId(domain, cname)
     elif status is not SlotStatus.IMP:
         raise _error(sense_id, f"{status.value} slot in domain {domain!r} must name a concept")
@@ -222,15 +225,15 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
         raise LexiconFormatError('lexicon document needs a "senses" list')
     nominal_nodes = store.domains[nominal].nodes
 
-    senses: list[VerbSense] = []
-    seen: set[str] = set()
+    senses: dict[str, VerbSense] = {}
+    source_by_lexeme: dict[str, list[VerbSense]] = {}
+    by_concept: dict[ConceptId, list[str]] = {}
     for raw in raw_senses:
         if not isinstance(raw, dict):
             raise LexiconFormatError("sense entry must be an object")
         sense_id = _require_str(raw, "sense_id", None)
-        if sense_id in seen:
+        if sense_id in senses:
             raise LexiconFormatError(f"duplicate sense_id {sense_id!r}")
-        seen.add(sense_id)
         lexeme = _require_str(raw, "lexeme", sense_id)
         language = _require_str(raw, "language", sense_id)
         if language not in ("source", "target"):
@@ -259,33 +262,30 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
         if not isinstance(projection_raw, list) or not projection_raw:
             raise _error(sense_id, "needs a non-empty projection list")
         projection: dict[str, ProjectionSlot] = {}
+        obl: list[ConceptId] = []
         for raw_slot in projection_raw:
             slot = _parse_slot(raw_slot, store, sense_id)
             if slot.domain in projection:
                 raise _error(sense_id, f"more than one slot in domain {slot.domain!r}")
             projection[slot.domain] = slot
-        if not any(s.status is SlotStatus.OBL for s in projection.values()):
+            if slot.status is SlotStatus.OBL:
+                obl.append(slot.concept)  # an OBL slot always names a concept
+        if not obl:
             raise _error(sense_id, "needs at least one OBL slot")
 
-        senses.append(
-            VerbSense(
-                sense_id=sense_id,
-                lexeme=lexeme,
-                language=language,
-                gloss=gloss,
-                constraints=tuple(constraints),
-                projection=projection,
-            )
-        )
+        sense = VerbSense(sense_id, lexeme, language, gloss, tuple(constraints), projection)
+        senses[sense_id] = sense
+        if language == "source":
+            source_by_lexeme.setdefault(lexeme, []).append(sense)
+        else:
+            for concept in obl:
+                by_concept.setdefault(concept, []).append(sense_id)
     # fill the ancestor maps clauses read, so that no clause pays for a walk
     nominal_dom = store.domains[nominal]
     for name in nominal_nodes:  # where every mention and constraint resolves
         nominal_dom.ancestors(name)
-    for sense in senses:
-        for slot in sense.projection.values():
-            if slot.concept is not None:
-                store.domains[slot.domain].ancestors(slot.concept.name)
-    return Lexicon(nominal_domain=nominal, senses=senses)
+    realizations = {c: tuple(sorted(ids)) for c, ids in by_concept.items()}
+    return Lexicon(nominal, senses, source_by_lexeme, realizations)
 
 
 def _substitute(slot: ProjectionSlot, args: ArgumentStructure) -> Optional[tuple[str, ...]]:

@@ -5,10 +5,19 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from lexsel import SelectionConfig, cli
+from lexsel import (
+    SelectionConfig,
+    VocabularyGapError,
+    bundled,
+    cli,
+    load_corpus,
+    to_argument_structure,
+    translate,
+)
 from lexsel.cli import main
 
 
@@ -130,6 +139,17 @@ class TestSelect:
         code, _ = run(capsys, "select", "--lexeme", "break", "--e0", "john-1")
         assert code == 2
 
+    @pytest.mark.parametrize("order", ["e0-first", "e1-first"])
+    def test_unknown_mentions_are_reported_in_role_order(self, capsys, order):
+        flags = [["--e0", "unicorn-1"], ["--e1", "griffin-1"]]
+        if order == "e1-first":
+            flags.reverse()
+        code = main(["select", "--lexeme", "break", *flags[0], *flags[1]])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: mention 'unicorn-1' does not name a concept in domain 'entity'\n"
+        )
+
     @pytest.mark.parametrize("role", ["--e0", "--e1"])
     def test_empty_mention_exits_2(self, capsys, role):
         assert main(["select", "--lexeme", "break", "--e1", "branch-1", role, ""]) == 2
@@ -172,6 +192,67 @@ class TestSelect:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"error: {weights}: no loaded taxonomy defines domain 'causaton'\n"
+
+
+def bundled_records():
+    return [
+        record
+        for name in (bundled.CORPUS_FILE, bundled.COUNTS_FILE)
+        for record in load_corpus(bundled.bundled_text(name)).records
+    ]
+
+
+class TestSelectBuildsTheEvalClause:
+    """``select`` on a record's mentions and markers ranks what ``eval`` ranks for it."""
+
+    RECORDS = bundled_records()
+
+    @pytest.fixture(scope="class")
+    def pipeline(self):
+        store = bundled.load_bundled_store()
+        lexicon = bundled.load_bundled_lexicon(store)
+        return store, lexicon, bundled.load_bundled_tree(store, lexicon.nominal_domain)
+
+    def test_every_bundled_record_is_covered(self):
+        assert len(self.RECORDS) == 162
+
+    @pytest.mark.parametrize("floor", [None, "0.81"], ids=["default-floor", "gap-floor"])
+    def test_select_matches_translate_on_the_record_clause(self, capsys, pipeline, floor):
+        store, lexicon, tree = pipeline
+        config = SelectionConfig() if floor is None else SelectionConfig(floor=Fraction(floor))
+        gaps = 0
+        for record in self.RECORDS:
+            argv = ["select", "--format", "json", "--lexeme", record.source_lexeme]
+            for role, mention in record.bindings:
+                argv += [f"--{role.value.lower()}", mention]
+            for marker in record.context:
+                argv += ["--marker", marker]
+            if floor is not None:
+                argv += ["--floor", floor]
+            code = main(argv)
+            out = capsys.readouterr().out
+            args = to_argument_structure(record, store, lexicon.nominal_domain)
+            try:
+                expected = translate(lexicon, store, args, config, tree)
+            except VocabularyGapError:
+                assert code == 1, record.id
+                gaps += 1
+                continue
+            assert code == 0, record.id
+            doc = json.loads(out)
+            action = expected.decided_action
+            assert doc["source_sense"] == expected.source_sense, record.id
+            assert doc["decided_action"] == (None if action is None else action.name)
+            assert [
+                (c["sense_id"], c["concept_score_exact"], c["constraint_score_exact"],
+                 c["via_concept"], c["neighborhood_sim_exact"])
+                for c in doc["candidates"]
+            ] == [
+                (r.sense_id, str(r.score.concept_score), str(r.score.constraint_score),
+                 str(r.via_concept), str(r.neighborhood_sim))
+                for r in expected.ranking
+            ], record.id
+        assert (gaps > 0) == (floor is not None)
 
 
 class TestEval:

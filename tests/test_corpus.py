@@ -215,6 +215,16 @@ class TestEvaluateCorpus:
         assert type(caught.value) is error  # re-raised as the same type
         assert str(caught.value) == f"line 2: record 'bad-9': {message}"
 
+    def test_unknown_mentions_are_reported_in_role_order(self, lexicon, store):
+        bad = dict(RECORD, id="bad-9", bindings={"E1": "griffin-1", "E0": "unicorn-1"})
+        corpus = load_corpus(lines(RECORD, bad))
+        with pytest.raises(UnknownConceptError) as caught:
+            evaluate_corpus(corpus, lexicon, store)
+        assert str(caught.value) == (
+            "line 2: record 'bad-9': "
+            "mention 'unicorn-1' does not name a concept in domain 'entity'"
+        )
+
     def test_rejects_empty_corpus(self, lexicon, store):
         with pytest.raises(CorpusFormatError, match="no records"):
             evaluate_corpus(Corpus(markers=frozenset(), records=()), lexicon, store)

@@ -20,6 +20,7 @@ from lexsel import (
     load_lexicon,
     load_taxonomy,
     merge_stores,
+    resolve_clause,
     resolve_mention,
 )
 from lexsel.bundled import (
@@ -71,7 +72,8 @@ class TestBundledLexicon:
             ("action", "IMP"),
             ("functionality", "IMP"),
         ]
-        assert [s.concept.name for s in sense.obl_slots()] == ["%change-of-integrity"]
+        obl = [s.concept.name for s in sense.projection.values() if s.status is SlotStatus.OBL]
+        assert obl == ["%change-of-integrity"]
 
     def test_bare_implicit_slots_have_no_concept(self, lexicon):
         sense = lexicon.senses["BREAK-1"]
@@ -92,6 +94,39 @@ class TestBundledLexicon:
         # SNAP-1 projects onto the duan concept but is a source sense
         duan = ConceptId("ch-of-state", "%separate-in-duan-state")
         assert "SNAP-1" not in lexicon.realization_ids(duan)
+
+    def test_index_holds_the_obl_concepts_of_the_target_senses(self, store, lexicon):
+        raw = json.loads(bundled_text(LEXICON_FILE))["senses"]
+        assert list(lexicon.senses) == [s["sense_id"] for s in raw]  # document order
+        for name, dom in store.domains.items():
+            for concept in dom.nodes:
+                expected = sorted(
+                    s["sense_id"]
+                    for s in raw
+                    if s["language"] == "target"
+                    and any(
+                        slot["status"] == "OBL"
+                        and (slot["domain"], slot.get("concept")) == (name, concept)
+                        for slot in s["projection"]
+                    )
+                )
+                got = lexicon.realization_ids(ConceptId(name, concept))
+                assert got == tuple(expected), (name, concept)
+
+    def test_source_senses_keep_document_order(self, lexicon):
+        raw = json.loads(bundled_text(LEXICON_FILE))["senses"]
+        lexemes = {s["lexeme"] for s in raw}
+        for lexeme in sorted(lexemes):
+            expected = [
+                s["sense_id"] for s in raw
+                if s["lexeme"] == lexeme and s["language"] == "source"
+            ]
+            if expected:
+                got = [s.sense_id for s in lexicon.source_senses(lexeme)]
+                assert got == expected, lexeme
+            else:  # a target lexeme is not a clause's verb
+                with pytest.raises(UnknownLexemeError):
+                    lexicon.source_senses(lexeme)
 
     def test_unknown_lexeme(self, lexicon, store):
         with pytest.raises(UnknownLexemeError):
@@ -125,6 +160,28 @@ class TestResolveMention:
     def test_rejects_whitespace(self, store):
         with pytest.raises(LexiconFormatError):
             resolve_mention(store, "entity", "two words")
+
+
+class TestResolveClause:
+    def test_builds_the_clause_of_its_mentions_and_markers(self, store):
+        args = resolve_clause(
+            store, "entity", "break", [(Role.E0, "john-1"), (Role.E1, "stick-1")],
+            ["into-pieces"],
+        )
+        assert args == args_for(store, "break", ["into-pieces"], e0="john-1", e1="stick-1")
+        assert resolve_clause(store, "entity", "break", []) == ArgumentStructure(
+            "break", {}, frozenset()
+        )
+
+    @pytest.mark.parametrize("first", [Role.E0, Role.E1])
+    def test_mentions_resolve_in_the_order_given(self, store, first):
+        mentions = {Role.E0: "unicorn-1", Role.E1: "griffin-1"}
+        second = Role.E1 if first is Role.E0 else Role.E0
+        with pytest.raises(UnknownConceptError, match=repr(mentions[first])):
+            resolve_clause(
+                store, "entity", "break",
+                [(first, mentions[first]), (second, mentions[second])],
+            )
 
 
 class TestDisambiguate:

@@ -25,18 +25,23 @@ from lexsel.bundled import (
 from lexsel.selector import TreeBranch
 
 # record types with a dict among their fields, directly or through a nested record
-UNHASHABLE = frozenset({"TaxonomyStore", "VerbSense", "InterRep", "Translation"})
+UNHASHABLE = frozenset(
+    {"TaxonomyStore", "VerbSense", "ArgumentStructure", "Lexicon", "InterRep", "Translation"}
+)
 
 
-def translate_stick(store, lexicon, tree):
-    args = ArgumentStructure(
+def stick_clause(store) -> ArgumentStructure:
+    return ArgumentStructure(
         source_lexeme="break",
         bindings={
             Role.E0: resolve_mention(store, "entity", "john-1"),
             Role.E1: resolve_mention(store, "entity", "stick-1"),
         },
     )
-    return translate(lexicon, store, args, SelectionConfig(), tree)
+
+
+def translate_stick(store, lexicon, tree):
+    return translate(lexicon, store, stick_clause(store), SelectionConfig(), tree)
 
 
 def bundled_records() -> dict:
@@ -58,6 +63,8 @@ def bundled_records() -> dict:
         next(iter(sense.projection.values())),
         sense,
         resolve_mention(store, "entity", "stick-1"),
+        stick_clause(store),
+        lexicon,
         result.inter_rep,
         top.score.domains[0],
         top.score.constraints[0],
@@ -78,7 +85,7 @@ RECORDS = bundled_records()
 
 
 def test_every_record_type_is_covered():
-    assert len(RECORDS) == 18
+    assert len(RECORDS) == 20
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

@@ -169,7 +169,7 @@ class TestTreeLoader:
         }
         tree = load_decision_tree(json.dumps(doc), store, "entity")
         assert tree.test == TreeTest(kind="is-a", value=ConceptId("entity", "rod"))
-        args = ArgumentStructure("break")
+        args = ArgumentStructure("break", {})
         assert decide_action(tree, ConceptId("entity", "rod"), args, store) == action(
             "%hit-action"
         )
