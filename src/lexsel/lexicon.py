@@ -148,10 +148,10 @@ class Lexicon(NamedTuple):
 
     nominal_domain: str
     senses: dict[str, VerbSense]  # keyed by sense id, document order
-    source_by_lexeme: dict[str, list[VerbSense]]  # source senses, document order
+    source_by_lexeme: dict[str, tuple[VerbSense, ...]]  # source senses, document order
     realizations: dict[ConceptId, tuple[str, ...]]  # OBL concept -> sorted target sense ids
 
-    def source_senses(self, lexeme: str) -> list[VerbSense]:
+    def source_senses(self, lexeme: str) -> tuple[VerbSense, ...]:
         try:
             return self.source_by_lexeme[lexeme]
         except KeyError:
@@ -226,7 +226,7 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
     nominal_nodes = store.domains[nominal].nodes
 
     senses: dict[str, VerbSense] = {}
-    source_by_lexeme: dict[str, list[VerbSense]] = {}
+    by_lexeme: dict[str, list[VerbSense]] = {}
     by_concept: dict[ConceptId, list[str]] = {}
     for raw in raw_senses:
         if not isinstance(raw, dict):
@@ -276,7 +276,7 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
         sense = VerbSense(sense_id, lexeme, language, gloss, tuple(constraints), projection)
         senses[sense_id] = sense
         if language == "source":
-            source_by_lexeme.setdefault(lexeme, []).append(sense)
+            by_lexeme.setdefault(lexeme, []).append(sense)
         else:
             for concept in obl:
                 by_concept.setdefault(concept, []).append(sense_id)
@@ -284,6 +284,7 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
     nominal_dom = store.domains[nominal]
     for name in nominal_nodes:  # where every mention and constraint resolves
         nominal_dom.ancestors(name)
+    source_by_lexeme = {lexeme: tuple(found) for lexeme, found in by_lexeme.items()}
     realizations = {c: tuple(sorted(ids)) for c, ids in by_concept.items()}
     return Lexicon(nominal, senses, source_by_lexeme, realizations)
 

@@ -1,8 +1,9 @@
 """Rooted-DAG concept taxonomies and path-based concept similarity.
 
-A store holds one rooted DAG per named domain.  Edges point from a concept
-to its parents (more general concepts).  Node depth is counted in nodes
-along a maximum-length path to the root, so the root has depth 1.
+A store holds one rooted DAG per named domain, kept as a map from each
+concept name to the sorted tuple of its parents' names (more general
+concepts).  Node depth is counted in nodes along a maximum-length path to
+the root, so the root has depth 1.
 
 Similarity between two concepts of the same domain is
 
@@ -57,8 +58,15 @@ class PathMetrics(NamedTuple):
 
 
 class ConceptNode(NamedTuple):
+    """A concept record, kept only as an input ``DomainTaxonomy.build`` accepts.
+
+    The benchmark's ``loader_timings`` times ``build`` on a map of these; the
+    store never holds one.  The class and ``build``'s branch for it go once that
+    caller passes the parents map (ROADMAP item 1, "Node construction").
+    """
+
     id: ConceptId
-    label: str  # ``load_taxonomy`` checks a document's label and stores ""
+    label: str
     parents: tuple[str, ...]  # parent concept names, same domain, sorted
 
 
@@ -99,19 +107,20 @@ def collector_paused() -> Iterator[None]:
 
 @dataclass(frozen=True)
 class DomainTaxonomy:
-    """One validated domain: nodes, depths and ancestor maps.
+    """One validated domain: each concept's parents, depths and ancestor maps.
 
-    Concepts may be listed in any order, parents before or after their
-    children, and the DAG may be of any depth.  Treat instances as
-    immutable after construction.  ``build`` checks the structure and
-    derives every depth; ``ancestors`` fills a concept's ancestor map the
-    first time it is asked for.  Three private memos keep answers that
-    depend only on the domain: ``_up`` per concept, ``_lcs`` per concept
-    pair and ``_near`` per widening request.
+    ``nodes`` maps a concept name to the sorted tuple of its parent names;
+    the root's tuple is empty.  Concepts may be listed in any order, parents
+    before or after their children, and the DAG may be of any depth.  Treat
+    instances as immutable after construction.  ``build`` checks the
+    structure and derives every depth; ``ancestors`` fills a concept's
+    ancestor map the first time it is asked for.  Three private memos keep
+    answers that depend only on the domain: ``_up`` per concept, ``_lcs``
+    per concept pair and ``_near`` per widening request.
     """
 
     domain: str
-    nodes: dict[str, ConceptNode]
+    nodes: dict[str, tuple[str, ...]]
     root: str
     depth: dict[str, int] = field(repr=False)  # insertion order lists parents first
     # name -> ``ancestors`` result, at most one map per concept of the domain
@@ -122,20 +131,28 @@ class DomainTaxonomy:
     _near: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def build(cls, domain: str, nodes: dict[str, ConceptNode]) -> "DomainTaxonomy":
+    def build(
+        cls, domain: str, nodes: dict[str, tuple[str, ...]] | dict[str, ConceptNode]
+    ) -> "DomainTaxonomy":
+        """Check ``nodes`` (name -> sorted parent names) and derive every depth.
+
+        A map of ``ConceptNode``s is turned into that map first; the first value
+        decides which input it is."""
+        if isinstance(next(iter(nodes.values()), None), ConceptNode):
+            nodes = {name: node.parents for name, node in nodes.items()}
         where = f"domain {domain!r}"
-        roots = [name for name, node in nodes.items() if not node.parents]
+        roots = [name for name, parents in nodes.items() if not parents]
         if not roots:
             raise TaxonomyFormatError(f"{where}: no root concept (zero parents)")
         if len(roots) > 1:
             raise TaxonomyFormatError(
                 f"{where}: multiple root concepts: {', '.join(sorted(roots))}"
             )
-        for node in nodes.values():
-            for parent in node.parents:
+        for name, parents in nodes.items():
+            for parent in parents:
                 if parent not in nodes:
                     raise TaxonomyFormatError(
-                        f"{where}: concept {node.id.name!r} names missing parent {parent!r}"
+                        f"{where}: concept {name!r} names missing parent {parent!r}"
                     )
         depth: dict[str, int] = {}
         on_path: set[str] = set()  # concepts on the stack, not yet finished
@@ -148,17 +165,17 @@ class DomainTaxonomy:
         # finished once all its parents are, so its depth comes from the
         # parents' finished entries in one pass, with no recursion.  A
         # concept whose parents are all finished skips the stack.
-        for start, node in nodes.items():
+        for start, parents in nodes.items():
             if start in depth:
                 continue
-            for parent in node.parents:
+            for parent in parents:
                 if parent not in depth:
                     break
             else:  # every parent is finished: no walk needed
-                finish(start, node.parents)
+                finish(start, parents)
                 continue
             on_path.add(start)
-            stack = [(start, iter(node.parents))]
+            stack = [(start, iter(parents))]
             while stack:
                 name, pending = stack[-1]
                 for parent in pending:
@@ -167,12 +184,12 @@ class DomainTaxonomy:
                     if parent in on_path:
                         raise TaxonomyFormatError(f"{where}: cycle through concept {parent!r}")
                     on_path.add(parent)
-                    stack.append((parent, iter(nodes[parent].parents)))
+                    stack.append((parent, iter(nodes[parent])))
                     break
                 else:
                     stack.pop()
                     on_path.discard(name)
-                    finish(name, nodes[name].parents)
+                    finish(name, nodes[name])
         return cls(domain=domain, nodes=nodes, root=roots[0], depth=depth)
 
     def require(self, name: str) -> None:
@@ -189,7 +206,7 @@ class DomainTaxonomy:
             nodes, dist = self.nodes, {name: 0}
             queue = [(name, 1)]  # (concept, edges from ``name`` to its parents)
             for concept, edges in queue:  # breadth first: the loop reaches what it appends
-                for parent in nodes[concept].parents:
+                for parent in nodes[concept]:
                     if parent not in dist:
                         dist[parent] = edges
                         queue.append((parent, edges + 1))
@@ -267,7 +284,7 @@ def load_taxonomy(text: str) -> TaxonomyStore:
         concepts = entry.get("concepts")
         if not isinstance(concepts, list) or not concepts:
             raise TaxonomyFormatError(f"domain {name!r}: needs a non-empty concept list")
-        nodes: dict[str, ConceptNode] = {}
+        nodes: dict[str, tuple[str, ...]] = {}
         for raw in concepts:
             if not isinstance(raw, dict):
                 raise TaxonomyFormatError(f"domain {name!r}: concept entry must be an object")
@@ -292,7 +309,7 @@ def load_taxonomy(text: str) -> TaxonomyStore:
                     raise TaxonomyFormatError(
                         f"domain {name!r}: concept {cname!r} lists a parent twice"
                     )
-            nodes[cname] = ConceptNode(ConceptId(name, cname), "", parents)
+            nodes[cname] = parents
         domains[name] = DomainTaxonomy.build(name, nodes)
     return TaxonomyStore(domains=domains)
 
@@ -418,7 +435,7 @@ def neighborhood(
         if name in up:
             key = keys[name] = (-depth, up[name])
         else:
-            neg_depth, edges = min(map(keys.__getitem__, nodes[name].parents))
+            neg_depth, edges = min(map(keys.__getitem__, nodes[name]))
             key = keys[name] = (neg_depth, edges + 1)
         by_key.setdefault(key, []).append(name)
     del by_key[keys[concept.name]]  # only the centre is 0 edges from its LCS

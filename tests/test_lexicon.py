@@ -128,6 +128,13 @@ class TestBundledLexicon:
                 with pytest.raises(UnknownLexemeError):
                     lexicon.source_senses(lexeme)
 
+    def test_a_caller_cannot_empty_a_lexemes_senses(self, lexicon):
+        senses = lexicon.source_senses("break")
+        assert isinstance(senses, tuple) and senses
+        with pytest.raises(AttributeError):
+            senses.clear()
+        assert lexicon.source_senses("break") == senses
+
     def test_unknown_lexeme(self, lexicon, store):
         with pytest.raises(UnknownLexemeError):
             disambiguate(lexicon, args_for(store, "explode", e1="vase-1"), store)

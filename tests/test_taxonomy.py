@@ -1,5 +1,6 @@
 """Taxonomy loading, path metrics, and concept similarity."""
 
+import gc
 import json
 import random
 import sys
@@ -22,6 +23,7 @@ from lexsel import (
     ArgumentStructure,
     Binding,
     ConceptId,
+    ConceptNode,
     CrossDomainError,
     Role,
     SelectionConfig,
@@ -60,6 +62,10 @@ SMALL = {"root": (), "A": ("root",), "B": ("A",), "C": ("A",)}
 
 def small_id(name: str) -> ConceptId:
     return ConceptId("synthetic", name)
+
+
+def as_node_records(parents: dict[str, tuple[str, ...]]) -> dict[str, ConceptNode]:
+    return {name: ConceptNode(small_id(name), name, ups) for name, ups in parents.items()}
 
 
 class TestConceptSimilarityFixtures:
@@ -208,6 +214,43 @@ class TestBuild:
         with pytest.raises(UnknownConceptError, match="has no concept 'nope'"):
             least_common_superconcept(store, known, nope)
         assert len(dom._up) == 0
+
+    def test_node_records_build_the_same_domain_as_parent_tuples(self):
+        parents = {"root": (), "A": ("root",), "B": ("root",), "C": ("A", "B")}
+        want = DomainTaxonomy.build("synthetic", parents)
+        got = DomainTaxonomy.build("synthetic", as_node_records(parents))
+        assert (got.nodes, got.root, got.depth) == (want.nodes, want.root, want.depth)
+        assert got.nodes == parents and got.root == "root"  # plain tuples, no records
+
+    @pytest.mark.parametrize(
+        "parents, problem",
+        [
+            ({"A": ("B",), "B": ("A",)}, "no root concept (zero parents)"),
+            ({"A": (), "B": ()}, "multiple root concepts: A, B"),
+            ({"A": (), "B": ("ghost",)}, "concept 'B' names missing parent 'ghost'"),
+            ({"root": (), "A": ("B", "root"), "B": ("A",)}, "cycle through concept 'A'"),
+        ],
+    )
+    def test_build_errors_read_the_same_for_either_input(self, parents, problem):
+        for nodes in (parents, as_node_records(parents)):
+            with pytest.raises(TaxonomyFormatError) as err:
+                DomainTaxonomy.build("synthetic", nodes)
+            assert str(err.value) == f"domain 'synthetic': {problem}"
+
+    def test_a_load_leaves_no_tracked_object_per_concept(self):
+        # a parent tuple of names is untracked by the first collection that sees it
+        count = 3000
+        parents = {"c0": ()}
+        for i in range(1, count):
+            parents[f"c{i}"] = tuple(sorted({f"c{(i - 1) // 2}", f"c{i // 3}"}))
+        text = json.dumps(as_taxonomy_doc(parents))
+        gc.collect()
+        before = len(gc.get_objects())
+        store = load_taxonomy(text)
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        assert grown < 100, grown
+        assert store.domain("synthetic").nodes == parents
 
     @pytest.mark.parametrize(
         "parents",
