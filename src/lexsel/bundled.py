@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from importlib import resources
+from pathlib import Path
 
 from .lexicon import Lexicon, load_lexicon
 from .selector import TreeNode, load_decision_tree
@@ -13,12 +13,12 @@ LEXICON_FILE = "lexicon.json"
 TREE_FILE = "action_tree.json"
 CORPUS_FILE = "corpus.jsonl"
 COUNTS_FILE = "translation_counts.jsonl"
-_DATA = resources.files(__package__).joinpath("data")
+_DATA = Path(__file__).parent / "data"
 
 
-def bundled_path(name: str):
-    """Traversable for a data file; a real path under a normal install."""
-    return _DATA.joinpath(name)
+def bundled_path(name: str) -> Path:
+    """Path of a data file in the ``data`` directory beside this module."""
+    return _DATA / name
 
 
 def bundled_text(name: str) -> str:

@@ -12,6 +12,9 @@ Similarity between two concepts of the same domain is
 where the least common superconcept is the shared ancestor of maximal
 depth, n1 and n2 are the minimal edge counts from each concept up to it,
 and n3 is its depth.  All values are exact ``fractions.Fraction``.
+``neighborhood`` ranks a whole domain on one integer key per concept and
+on integer ``(n1 + n2, n3)`` pairs, and builds a ``Fraction`` only for
+the similarities it hands out.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cmp_to_key
+from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CrossDomainError, TaxonomyFormatError, UnknownConceptError, parse_json
@@ -397,6 +401,17 @@ def con_sim(store: TaxonomyStore, c1: ConceptId, c2: ConceptId) -> Fraction:
     return _similarity(edges, depth)
 
 
+def _more_similar(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Negative when ``(n1 + n2, n3)`` pair ``a`` has the larger similarity.
+
+    ``2 * n3 / (n1 + n2 + 2 * n3)`` falls as ``(n1 + n2) / n3`` grows, and two
+    such ratios compare exactly by cross-multiplying."""
+    return a[0] * b[1] - b[0] * a[1]
+
+
+_MORE_SIMILAR_FIRST = cmp_to_key(_more_similar)
+
+
 def neighborhood(
     store: TaxonomyStore,
     concept: ConceptId,
@@ -409,14 +424,18 @@ def neighborhood(
     ``max_size``.  The concept itself is excluded.
 
     One top-down pass over the domain, parents first, gives every concept
-    x the key ``(-n3, n1 + n2)`` of its least common superconcept with
-    ``concept``.  An ancestor of ``concept`` is its own LCS.  Any other x
-    shares exactly the ancestors its parents share, one edge further away,
-    so its key is the smallest parent key with one edge added: the LCS
-    rule is deepest first, then fewest edges.  Distinct keys can give the
-    same similarity, so concepts are grouped by the exact ``Fraction``,
-    and names are sorted within each group.  Each domain keeps the result
-    per ``(name, max_size, floor)`` and hands out a fresh list.
+    x one int key, ``n1 + n2 - n3 * span``, for its least common
+    superconcept with ``concept``.  ``span`` exceeds every edge count in
+    the domain, so the int orders like ``(-n3, n1 + n2)``: deepest first,
+    then fewest edges, the LCS rule.  An ancestor of ``concept`` is its own
+    LCS.  Any other x shares exactly the ancestors its parents share, one
+    edge further away, so its key is the smallest parent key plus 1.
+    Distinct keys can give the same similarity, so each key's
+    ``(n1 + n2, n3)`` pair is put in lowest terms before the groups are
+    merged, ordered and tested against ``floor`` by cross-multiplying, and
+    names are sorted within each group.  A ``Fraction`` is built only for
+    the pairs handed out.  Each domain keeps the result per
+    ``(name, max_size, floor)`` and hands out a fresh list.
     """
     if isinstance(max_size, bool) or not isinstance(max_size, int) or max_size < 1:
         raise ValueError(f"max_size must be an int >= 1, got {max_size!r}")
@@ -429,23 +448,39 @@ def neighborhood(
     if found is not None:  # only a known name is stored
         return list(found)
     up, nodes = dom.ancestors(concept.name), dom.nodes
-    keys: dict[str, tuple[int, int]] = {}
-    by_key: dict[tuple[int, int], list[str]] = {}
+    span = 2 * len(nodes) + 1  # n1 and n2 are each below len(nodes)
+    keys: dict[str, int] = {}
+    by_key: dict[int, list[str]] = {}
     for name, depth in dom.depth.items():  # parents before children
-        if name in up:
-            key = keys[name] = (-depth, up[name])
+        edges = up.get(name)
+        if edges is not None:
+            key = edges - depth * span
         else:
-            neg_depth, edges = min(map(keys.__getitem__, nodes[name]))
-            key = keys[name] = (neg_depth, edges + 1)
-        by_key.setdefault(key, []).append(name)
+            parents = nodes[name]
+            if len(parents) == 1:
+                key = keys[parents[0]] + 1
+            else:
+                key = min(map(keys.__getitem__, parents)) + 1
+        keys[name] = key
+        group = by_key.get(key)
+        if group is None:
+            by_key[key] = [name]
+        else:
+            group.append(name)
     del by_key[keys[concept.name]]  # only the centre is 0 edges from its LCS
-    by_sim: dict[Fraction, list[str]] = {}
-    for (neg_depth, edges), names in by_key.items():
-        by_sim.setdefault(_similarity(edges, -neg_depth), []).extend(names)
+    groups: dict[tuple[int, int], list[str]] = {}  # (n1 + n2, n3) in lowest terms
+    for key, names in by_key.items():
+        neg_depth, edges = divmod(key, span)
+        common = gcd(edges, neg_depth)
+        groups.setdefault((edges // common, -neg_depth // common), []).extend(names)
+    num, den = floor.numerator, floor.denominator
     scored: list[tuple[ConceptId, Fraction]] = []
-    for sim in sorted(by_sim, reverse=True):
-        if sim < floor or len(scored) >= max_size:
+    for edges, depth in sorted(groups, key=_MORE_SIMILAR_FIRST):
+        # similarity >= num / den, cross-multiplied
+        if len(scored) >= max_size or 2 * depth * den < num * (edges + 2 * depth):
             break
-        scored += [(ConceptId(concept.domain, name), sim) for name in sorted(by_sim[sim])]
-    dom._near[memo_key] = found = tuple(scored[:max_size])
+        sim = _similarity(edges, depth)
+        names = sorted(groups[edges, depth])[: max_size - len(scored)]
+        scored += [(ConceptId(concept.domain, name), sim) for name in names]
+    dom._near[memo_key] = found = tuple(scored)
     return list(found)

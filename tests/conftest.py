@@ -2,8 +2,21 @@
 
 pytest captures file descriptors, so the acceptance tests cannot reliably
 print while running; they record one verdict line each and the terminal
-summary prints the full list after the run.
+summary prints the full list after the run.  ``child_env`` lets a test
+start ``python -m lexsel`` from a checkout where the package is not
+installed.
 """
+
+import os
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment with ``src`` first on the child's ``PYTHONPATH``."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
 
 ACCEPTANCE_CRITERIA = [
     "concept-similarity-matches-brute-force",

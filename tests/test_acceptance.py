@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import record_verdict
+from conftest import child_env, record_verdict
 from dag_oracle import as_taxonomy_doc, oracle_con_sim, oracle_lcs, random_rooted_dag
 from lexsel import (
     ArgumentStructure,
@@ -219,7 +219,8 @@ def test_action_tree_promotes_only_within_ties(lexicon, store, tree):
 
 def run_cli(*argv) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "lexsel", *argv], capture_output=True, text=True, timeout=60
+        [sys.executable, "-m", "lexsel", *argv], capture_output=True, text=True, timeout=60,
+        env=child_env(),
     )
 
 
@@ -292,8 +293,8 @@ def test_cli_determinism():
     diffs = 0
     for argv in CLI_BATTERY:
         cmd = [sys.executable, "-m", "lexsel", *argv]
-        first = subprocess.run(cmd, capture_output=True, timeout=60)
-        second = subprocess.run(cmd, capture_output=True, timeout=60)
+        first = subprocess.run(cmd, capture_output=True, timeout=60, env=child_env())
+        second = subprocess.run(cmd, capture_output=True, timeout=60, env=child_env())
         if not (
             first.returncode == second.returncode == 0
             and first.stdout == second.stdout

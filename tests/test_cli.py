@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import child_env
 from lexsel import (
     SelectionConfig,
     VocabularyGapError,
@@ -467,7 +468,8 @@ BATTERY = [
 class TestModuleEntryPoint:
     def run_module(self, argv) -> subprocess.CompletedProcess:
         return subprocess.run(
-            [sys.executable, "-m", "lexsel", *argv], capture_output=True, timeout=60
+            [sys.executable, "-m", "lexsel", *argv], capture_output=True, timeout=60,
+            env=child_env(),
         )
 
     def test_exit_codes_through_the_interpreter(self):
@@ -481,7 +483,8 @@ class TestModuleEntryPoint:
     )
     def test_closed_stdout_exits_141_without_an_error(self, argv):
         proc = subprocess.Popen(
-            [sys.executable, "-m", "lexsel", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+            [sys.executable, "-m", "lexsel", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=child_env(),
         )
         proc.stdout.close()  # long before the child writes: its first write finds no reader
         _, stderr = proc.communicate(timeout=60)

@@ -345,6 +345,91 @@ class TestNeighborhood:
             neighborhood(store, small_id("B"), max_size=5, floor=True)
 
 
+def chain(length: int) -> dict[str, tuple[str, ...]]:
+    """c0 -> c1 -> ... -> c{length - 1}: concept c{i} has depth i + 1."""
+    return {"c0": (), **{f"c{i}": (f"c{i - 1}",) for i in range(1, length)}}
+
+
+class TestIntegerOrder:
+    """``neighborhood`` orders, merges and cuts on integer pairs: the answers
+    stay exact on a large tie group and on edge counts in the tens of thousands."""
+
+    @staticmethod
+    def star() -> tuple[dict[str, tuple[str, ...]], list[str]]:
+        """root -> hub -> 5000 leaves listed shuffled, and the sorted leaf names.
+
+        From the hub every leaf is 4/5 (LCS the hub, depth 2, 1 edge) and the
+        root 2/3; from a leaf the hub is 4/5, every sibling 2/3 and the root 1/2.
+        """
+        leaves = [f"s{i}" for i in range(5000)]
+        random.Random(20).shuffle(leaves)
+        parents = {"root": (), "hub": ("root",), **{leaf: ("hub",) for leaf in leaves}}
+        return parents, sorted(leaves)
+
+    @pytest.mark.parametrize("size", [1, 3, 10])
+    def test_tie_group_at_the_cut_takes_the_smallest_names(self, size):
+        parents, leaves = self.star()
+        store = store_from(parents)
+        got = neighborhood(store, small_id("hub"), size, Fraction(0))
+        assert got == [(small_id(name), Fraction(4, 5)) for name in leaves[:size]]
+        centre, siblings = leaves[0], leaves[1:]  # the smallest name is left out
+        got = neighborhood(store, small_id(centre), size, Fraction(0))
+        assert got == [(small_id("hub"), Fraction(4, 5))] + [
+            (small_id(name), Fraction(2, 3)) for name in siblings[: size - 1]
+        ]
+
+    def test_floor_at_a_tie_group_keeps_it_and_just_above_drops_it(self):
+        parents, leaves = self.star()
+        store = store_from(parents)
+        hub, leaf = small_id("hub"), small_id(leaves[0])
+        tiny = Fraction(1, 10**12)
+        assert neighborhood(store, hub, 10, Fraction(4, 5)) == [
+            (small_id(name), Fraction(4, 5)) for name in leaves[:10]
+        ]
+        assert neighborhood(store, hub, 10, Fraction(4, 5) + tiny) == []
+        assert neighborhood(store, leaf, 3, Fraction(2, 3)) == [
+            (hub, Fraction(4, 5)),
+            *((small_id(name), Fraction(2, 3)) for name in leaves[1:3]),
+        ]
+        assert neighborhood(store, leaf, 3, Fraction(2, 3) + tiny) == [(hub, Fraction(4, 5))]
+
+    @pytest.mark.parametrize("floor", [0, 1])
+    def test_int_floors_match_their_fractions(self, floor):
+        # two stores, since 0 and Fraction(0) are one key of the memo
+        star, leaves = self.star()
+        dag = random_rooted_dag(random.Random(5))
+        for parents, centres in (
+            (SMALL, list(SMALL)),
+            (chain(40), ["c0", "c17", "c39"]),
+            (star, ["root", "hub", leaves[0], leaves[-1]]),
+            (dag, list(dag)[:12]),
+        ):
+            as_int, as_fraction = store_from(parents), store_from(parents)
+            for name in centres:
+                for size in (1, 3, 10, len(parents)):
+                    got = neighborhood(as_int, small_id(name), size, floor)
+                    assert got == neighborhood(as_fraction, small_id(name), size, Fraction(floor))
+                    assert len(got) == (0 if floor else min(size, len(parents) - 1))
+
+    def test_very_deep_chain_neighborhood_has_the_closed_form(self):
+        # from c{a - 1} (depth a) to c{b - 1}: LCS depth m = min(a, b), |a - b| edges,
+        # so up to 15,000 edges, far past a bound fitted to small domains
+        length, a = 20_000, 5_000
+        store = store_from(chain(length))
+        want = {
+            f"c{b - 1}": Fraction(2 * min(a, b), abs(a - b) + 2 * min(a, b))
+            for b in range(1, length + 1)
+            if b != a
+        }
+        got = [(c.name, sim) for c, sim in neighborhood(store, small_id(f"c{a - 1}"), length, 0)]
+        assert dict(got) == want and len(got) == len(want)
+        # each neighbour before the next: similarity descending, then name
+        assert all(s > t or (s == t and x < y) for (x, s), (y, t) in zip(got, got[1:]))
+        floor = Fraction(1, 2)
+        near = neighborhood(store, small_id(f"c{a - 1}"), 10, floor)
+        assert [(c.name, sim) for c, sim in near] == [p for p in got if p[1] >= floor][:10]
+
+
 class TestLoaderValidation:
     def test_round_trips_note(self):
         doc = as_taxonomy_doc(SMALL)
