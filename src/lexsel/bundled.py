@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
 from .lexicon import Lexicon, load_lexicon
 from .selector import TreeNode, load_decision_tree
@@ -13,16 +13,12 @@ LEXICON_FILE = "lexicon.json"
 TREE_FILE = "action_tree.json"
 CORPUS_FILE = "corpus.jsonl"
 COUNTS_FILE = "translation_counts.jsonl"
-_DATA = Path(__file__).parent / "data"
-
-
-def bundled_path(name: str) -> Path:
-    """Path of a data file in the ``data`` directory beside this module."""
-    return _DATA / name
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def bundled_text(name: str) -> str:
-    return bundled_path(name).read_text(encoding="utf-8")
+    with open(os.path.join(_DATA, name), encoding="utf-8") as file:
+        return file.read()
 
 
 def load_bundled_store() -> TaxonomyStore:

@@ -21,7 +21,6 @@ import os
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import bundled
@@ -145,20 +144,21 @@ def _selection_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--floor",
         type=_fraction_arg,
-        default=SelectionConfig.floor,
+        default=SelectionConfig().floor,
         help="neighborhood similarity floor (default: 0.5)",
     )
     parser.add_argument(
         "--max-candidates",
         type=int,
-        default=SelectionConfig.max_candidates,
+        default=SelectionConfig().max_candidates,
         help="neighborhood size limit (default: 10)",
     )
 
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise LexselError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"

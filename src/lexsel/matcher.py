@@ -12,7 +12,6 @@ exact rationals so equality comparisons in ranking are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
@@ -30,6 +29,7 @@ from .lexicon import (
 from .taxonomy import ConceptId, TaxonomyStore, _degree, con_sim
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+_FRESH = object()  # a default argument that stands for a new value on each call
 # a domain union's integer weight total, and each domain's integer weight and share
 _Shares = tuple[int, tuple[tuple[int, Fraction], ...]]
 
@@ -51,26 +51,30 @@ def _as_fraction(value: object, where: str) -> Fraction:
         raise MatcherError(f"{where}: cannot read weight {value!r}") from None
 
 
-@dataclass(frozen=True)
-class DomainWeights:
+class DomainWeights(
+    NamedTuple("DomainWeights", [("weights", Mapping), ("default_weight", Fraction)])
+):
     """Per-domain weights; unlisted domains get ``default_weight``.
 
-    Every weight is a non-negative int or ``Fraction``.
+    Every weight is a non-negative int or ``Fraction``; ``weights`` defaults to
+    a new empty dict.  ``_shares``, a plain attribute, maps a sorted domain
+    union to its shares, so the weights are read once per union.
     """
 
-    weights: Mapping[str, Fraction] = field(default_factory=dict)
-    default_weight: Fraction = Fraction(1)
-    # sorted domain union -> its shares; the weights are read once per union
-    _shares: dict[tuple[str, ...], _Shares] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` goes through ``__new__``
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.weights, Mapping):
-            raise MatcherError(f"weights must map domain names to weights, got {self.weights!r}")
-        for name, w in self.weights.items():
+    def __new__(
+        cls, weights: Mapping[str, Fraction] = _FRESH, default_weight: Fraction = _ONE
+    ) -> "DomainWeights":
+        weights = {} if weights is _FRESH else weights
+        if not isinstance(weights, Mapping):
+            raise MatcherError(f"weights must map domain names to weights, got {weights!r}")
+        for name, w in weights.items():
             _check_weight(w, f"weight for domain {name!r}")
-        _check_weight(self.default_weight, "default weight")
+        _check_weight(default_weight, "default weight")
+        self = super().__new__(cls, weights, default_weight)
+        self._shares = {}
+        return self
 
     def weight(self, domain: str) -> Fraction:
         return self.weights.get(domain, self.default_weight)
@@ -141,9 +145,7 @@ def word_sim_breakdown(
             sim = con_sim(store, ca, cb)
             d = sim.denominator
             num, den = num * d + w * sim.numerator * den, den * d
-        parts.append(
-            DomainContribution(domain=domain, weight=share, similarity=sim, left=ca, right=cb)
-        )
+        parts.append(DomainContribution(domain, share, sim, ca, cb))
     return Fraction(num, den * total), tuple(parts)
 
 
@@ -182,18 +184,24 @@ def constraint_satisfaction(degrees: Sequence[ConstraintDegree]) -> Fraction:
     return Fraction(num, den * len(degrees))
 
 
-@dataclass(frozen=True, order=True)
-class MatchScore:
+class MatchScore(
+    NamedTuple("MatchScore", [("concept_score", Fraction), ("constraint_score", Fraction)])
+):
     """Lexicographic pair: concept similarity first, then constraint fit.
 
-    ``domains`` and ``constraints`` are the parts the two scores were
-    computed from; they take no part in equality or ordering.
+    The tuple holds the two scores, which alone take part in equality,
+    hashing and ordering.  ``domains`` and ``constraints``, plain attributes,
+    are the parts the two scores were computed from.
     """
 
-    concept_score: Fraction
-    constraint_score: Fraction
-    domains: tuple[DomainContribution, ...] = field(default=(), compare=False)
-    constraints: tuple[ConstraintDegree, ...] = field(default=(), compare=False)
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` goes through ``__new__``
+
+    def __new__(
+        cls, concept_score: Fraction, constraint_score: Fraction, domains=(), constraints=()
+    ) -> "MatchScore":
+        self = super().__new__(cls, concept_score, constraint_score)
+        self.domains, self.constraints = domains, constraints
+        return self
 
 
 def candidate_slots(inter_rep: InterRep, candidate: VerbSense) -> dict[str, ProjectionSlot]:
@@ -227,9 +235,4 @@ def inexact_match(
         inter_rep.slots, candidate_slots(inter_rep, candidate), weights, store
     )
     degrees = constraint_degrees(candidate, args, store)
-    return MatchScore(
-        concept_score=concept,
-        constraint_score=constraint_satisfaction(degrees),
-        domains=domains,
-        constraints=degrees,
-    )
+    return MatchScore(concept, constraint_satisfaction(degrees), domains, degrees)

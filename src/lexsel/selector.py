@@ -17,7 +17,6 @@ implied" and promotes nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -32,6 +31,7 @@ from .lexicon import (
     build_inter_rep,
 )
 from .matcher import (
+    _FRESH,
     DomainWeights,
     MatchScore,
     constraint_degrees,
@@ -43,24 +43,31 @@ from .taxonomy import ConceptId, TaxonomyStore, neighborhood
 _EXACT = Fraction(1)  # the neighborhood similarity of an exact realization
 
 
-@dataclass(frozen=True)
-class SelectionConfig:
-    floor: Fraction = Fraction(1, 2)
-    max_candidates: int = 10
-    weights: DomainWeights = field(default_factory=DomainWeights)
+class SelectionConfig(
+    NamedTuple(
+        "SelectionConfig",
+        [("floor", Fraction), ("max_candidates", int), ("weights", DomainWeights)],
+    )
+):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` goes through ``__new__``
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls, floor: Fraction = Fraction(1, 2), max_candidates: int = 10, weights=_FRESH
+    ) -> "SelectionConfig":
+        weights = DomainWeights() if weights is _FRESH else weights
         # only an exact floor compares to exact similarities as written
-        if isinstance(self.floor, bool) or not isinstance(self.floor, (int, Fraction)):
-            raise LexselError(f"floor must be an int or a Fraction, got {self.floor!r}")
-        if not 0 <= self.floor <= 1:
-            raise LexselError(f"floor must be within [0, 1], got {self.floor}")
-        if isinstance(self.max_candidates, bool) or not isinstance(self.max_candidates, int):
-            raise LexselError(f"max_candidates must be an int, got {self.max_candidates!r}")
-        if self.max_candidates < 1:
-            raise LexselError(f"max_candidates must be >= 1, got {self.max_candidates}")
-        if not isinstance(self.weights, DomainWeights):
-            raise LexselError(f"weights must be a DomainWeights, got {self.weights!r}")
+        if isinstance(floor, bool) or not isinstance(floor, (int, Fraction)):
+            raise LexselError(f"floor must be an int or a Fraction, got {floor!r}")
+        if not 0 <= floor <= 1:
+            raise LexselError(f"floor must be within [0, 1], got {floor}")
+        if isinstance(max_candidates, bool) or not isinstance(max_candidates, int):
+            raise LexselError(f"max_candidates must be an int, got {max_candidates!r}")
+        if max_candidates < 1:
+            raise LexselError(f"max_candidates must be >= 1, got {max_candidates}")
+        if not isinstance(weights, DomainWeights):
+            raise LexselError(f"weights must be a DomainWeights, got {weights!r}")
+        return super().__new__(cls, floor, max_candidates, weights)
 
 
 class SelectionResult(NamedTuple):
@@ -223,11 +230,7 @@ def rank_candidates(
     results = []
     for sense_id, (via, sim) in found.items():
         score = inexact_match(inter_rep, lexicon.senses[sense_id], args, config.weights, store)
-        results.append(
-            SelectionResult(
-                sense_id=sense_id, score=score, via_concept=via, neighborhood_sim=sim
-            )
-        )
+        results.append(SelectionResult(sense_id, score, via, sim))
     # scores descending, ties by sense id: a reversed sort keeps equal keys
     # in their input order, so sorting by id first settles the ties
     results.sort(key=lambda r: r.sense_id)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cmp_to_key
 from math import gcd
@@ -109,30 +108,28 @@ def collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-@dataclass(frozen=True)
-class DomainTaxonomy:
+class DomainTaxonomy(
+    NamedTuple(
+        "DomainTaxonomy", [("domain", str), ("nodes", dict), ("root", str), ("depth", dict)]
+    )
+):
     """One validated domain: each concept's parents, depths and ancestor maps.
 
-    ``nodes`` maps a concept name to the sorted tuple of its parent names;
-    the root's tuple is empty.  Concepts may be listed in any order, parents
-    before or after their children, and the DAG may be of any depth.  Treat
-    instances as immutable after construction.  ``build`` checks the
-    structure and derives every depth; ``ancestors`` fills a concept's
-    ancestor map the first time it is asked for.  Three private memos keep
-    answers that depend only on the domain: ``_up`` per concept, ``_lcs``
-    per concept pair and ``_near`` per widening request.
+    ``nodes`` maps a concept name to the sorted tuple of its parent names
+    (the root's is empty), and ``depth``'s order lists parents first.
+    Treat instances as immutable.  ``build`` checks the structure and
+    derives every depth; ``ancestors`` fills a concept's ancestor map when
+    first asked.  The four tuple fields alone take part in equality; three
+    memos, plain attributes that start empty, keep what depends only on the
+    domain: ``_up`` per concept, ``_lcs`` per pair, ``_near`` per widening.
     """
 
-    domain: str
-    nodes: dict[str, tuple[str, ...]]
-    root: str
-    depth: dict[str, int] = field(repr=False)  # insertion order lists parents first
-    # name -> ``ancestors`` result, at most one map per concept of the domain
-    _up: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (c1, c2) names -> ``_lcs`` result, at most _LCS_MEMO_CAP entries
-    _lcs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (name, max_size, floor) -> ``neighborhood`` result
-    _near: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` goes through ``__new__``
+
+    def __new__(cls, domain: str, nodes: dict, root: str, depth: dict) -> "DomainTaxonomy":
+        self = super().__new__(cls, domain, nodes, root, depth)
+        self._up, self._lcs, self._near = {}, {}, {}
+        return self
 
     @classmethod
     def build(

@@ -11,6 +11,7 @@ import os
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+DATA = os.path.join(SRC, "lexsel", "data")  # the bundled data files
 
 
 def child_env() -> dict[str, str]:
@@ -27,6 +28,7 @@ ACCEPTANCE_CRITERIA = [
     "bundled-corpus-accuracy",
     "frequency-table-fixture",
     "cli-determinism",
+    "paper-comparison",
 ]
 
 _verdicts: dict[str, str] = {}

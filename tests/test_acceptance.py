@@ -5,6 +5,7 @@ conftest terminal-summary hook prints every verdict after the run.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import child_env, record_verdict
+from conftest import DATA, child_env, record_verdict
 from dag_oracle import as_taxonomy_doc, oracle_con_sim, oracle_lcs, random_rooted_dag
 from lexsel import (
     ArgumentStructure,
@@ -25,6 +26,7 @@ from lexsel import (
     least_common_superconcept,
     load_corpus,
     load_taxonomy,
+    matcher,
     rerank_by_action,
     resolve_mention,
     to_argument_structure,
@@ -256,9 +258,7 @@ def test_bundled_corpus_accuracy(tmp_path):
 
 
 def test_frequency_table_fixture():
-    from lexsel.bundled import bundled_path
-
-    result = run_cli("freq", "--corpus", str(bundled_path(COUNTS_FILE)), "--format", "tsv")
+    result = run_cli("freq", "--corpus", os.path.join(DATA, COUNTS_FILE), "--format", "tsv")
     rows = [line.split("\t") for line in result.stdout.strip().splitlines()[1:]]
     expected = [
         ["1", "dasui", "107"],
@@ -305,4 +305,44 @@ def test_cli_determinism():
         "cli-determinism",
         diffs == 0,
         f"{len(CLI_BATTERY)} commands run twice, {diffs} diffs",
+    )
+
+
+# The paper sets its graded scheme against the binary selection restrictions of
+# transfer-based MT.  Each variant but the first switches one mechanism off; the
+# map names every gold clause it loses and what it predicts instead (None: a gap).
+PAPER_COMPARISON = {
+    "shipped": {},
+    "floor-1": dict.fromkeys(["s1", "s2", "s3", "s4", "s5", "s9", "s10"]),
+    "no-tree": {"s4": "duan-la", "s5": "duan-cheng", "s11": "duan-cheng"},
+    "binary-restrictions": {"s5": "da-duan", "s8": "duan-cheng"},
+}
+
+
+def binary_degree(store, concept, ancestor) -> Fraction:
+    """A transfer-style restriction: it holds fully on is-a and not at all otherwise."""
+    return Fraction(store.is_a(concept, ancestor))
+
+
+def test_paper_comparison(monkeypatch, lexicon, store, tree):
+    corpus = load_corpus(bundled_text(CORPUS_FILE))
+
+    def run(config: SelectionConfig, tree) -> tuple[int, dict]:
+        done = evaluate_corpus(corpus, lexicon, store, config, tree)
+        return done.correct, {i.id: i.predicted for i in done.items if not i.match}
+
+    found = {
+        "shipped": run(SelectionConfig(), tree),
+        "floor-1": run(SelectionConfig(floor=1), tree),  # no widening
+        "no-tree": run(SelectionConfig(), None),
+    }
+    # disambiguation and scoring both read every constraint degree through ``_degree``
+    monkeypatch.setattr(matcher, "_degree", binary_degree)
+    found["binary-restrictions"] = run(SelectionConfig(), tree)
+    total = len(corpus.records)
+    ok = all(found[name] == (total - len(lost), lost) for name, lost in PAPER_COMPARISON.items())
+    report(
+        "paper-comparison",
+        ok,
+        ", ".join(f"{name} {correct}/{total}" for name, (correct, _) in found.items()),
     )

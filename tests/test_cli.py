@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import child_env
+from conftest import DATA, child_env
 from lexsel import (
     SelectionConfig,
     VocabularyGapError,
@@ -346,9 +347,9 @@ class TestFreq:
         assert out.splitlines()[1].split("\t")[1] == "da-sui"
 
     def test_counts_fixture(self, capsys):
-        from lexsel.bundled import COUNTS_FILE, bundled_path
+        from lexsel.bundled import COUNTS_FILE
 
-        code, out = run(capsys, "freq", "--corpus", str(bundled_path(COUNTS_FILE)))
+        code, out = run(capsys, "freq", "--corpus", os.path.join(DATA, COUNTS_FILE))
         assert code == 0
         rows = [line.split("\t") for line in out.strip().splitlines()]
         assert rows[1] == ["1", "dasui", "107"]

@@ -1,13 +1,16 @@
 """Record semantics that callers rely on: read-only fields, value equality and hashing.
 
-The plain value records are ``NamedTuple``s.  Each case below is built from the
-bundled data, the way a caller meets it.
+The records are ``NamedTuple``s.  Each case below is built from the bundled data,
+the way a caller meets it.  ``DomainTaxonomy``, ``DomainWeights`` and ``MatchScore``
+also carry plain attributes outside the tuple, which take no part in equality.
 """
 
 import pytest
 
 from lexsel import (
     ArgumentStructure,
+    DomainTaxonomy,
+    LexselError,
     Role,
     SelectionConfig,
     evaluate_corpus,
@@ -26,7 +29,17 @@ from lexsel.selector import TreeBranch
 
 # record types with a dict among their fields, directly or through a nested record
 UNHASHABLE = frozenset(
-    {"TaxonomyStore", "VerbSense", "ArgumentStructure", "Lexicon", "InterRep", "Translation"}
+    {
+        "DomainTaxonomy",
+        "TaxonomyStore",
+        "VerbSense",
+        "ArgumentStructure",
+        "Lexicon",
+        "InterRep",
+        "Translation",
+        "DomainWeights",
+        "SelectionConfig",
+    }
 )
 
 
@@ -49,7 +62,8 @@ def bundled_records() -> dict:
     lexicon = load_bundled_lexicon(store)
     tree = load_bundled_tree(store, lexicon.nominal_domain)
     corpus = load_corpus(bundled_text(CORPUS_FILE))
-    report = evaluate_corpus(corpus, lexicon, store, SelectionConfig(), tree)
+    config = SelectionConfig()
+    report = evaluate_corpus(corpus, lexicon, store, config, tree)
     result = translate_stick(store, lexicon, tree)
     top = result.ranking[0]
     sense = lexicon.senses[result.source_sense]
@@ -57,6 +71,7 @@ def bundled_records() -> dict:
     while isinstance(leaf, TreeBranch):
         leaf = leaf.then
     found = [
+        store.domains["entity"],
         store,
         sense.constraints[0],
         next(iter(sense.projection.values())),
@@ -67,7 +82,10 @@ def bundled_records() -> dict:
         result.inter_rep,
         top.score.domains[0],
         top.score.constraints[0],
+        config.weights,
+        top.score,
         top,
+        config,
         tree.test,
         tree,
         leaf,
@@ -84,7 +102,7 @@ RECORDS = bundled_records()
 
 
 def test_every_record_type_is_covered():
-    assert len(RECORDS) == 19
+    assert len(RECORDS) == 23
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -113,3 +131,19 @@ def test_translations_of_one_clause_compare_equal():
     lexicon = load_bundled_lexicon(store)
     again = translate_stick(store, lexicon, load_bundled_tree(store, lexicon.nominal_domain))
     assert again is not first and again == first
+
+
+def test_a_twin_domain_starts_with_empty_memos():
+    dom = RECORDS["DomainTaxonomy"]  # its memos were filled while the corpus was evaluated
+    assert dom._up and dom._lcs
+    for twin in (DomainTaxonomy(**dom._asdict()), dom._replace()):
+        assert twin == dom
+        assert (twin._up, twin._lcs, twin._near) == ({}, {}, {})
+
+
+def test_replace_builds_through_the_constructor():
+    score = RECORDS["MatchScore"]
+    assert score._replace(constraint_score=0).domains == ()
+    assert RECORDS["DomainWeights"]._replace()._shares == {}
+    with pytest.raises(LexselError, match=r"floor must be within \[0, 1\], got 2"):
+        RECORDS["SelectionConfig"]._replace(floor=2)

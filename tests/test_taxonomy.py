@@ -614,19 +614,26 @@ def check_neighborhood_against_oracle(seed: int, passes: int = 1):
     rng.shuffle(order)
     store = store_from({name: parents[name] for name in order})
     floors = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(4, 5), Fraction(1))
+    # Results are compared as (name, numerator, denominator) triples: a Fraction is
+    # kept in lowest terms, so two triples are equal exactly when the pairs are.
     for i, concept in enumerate(parents):
-        scan = oracle_neighborhood(parents, concept, len(parents), Fraction(0))
+        scan = triples(oracle_neighborhood(parents, concept, len(parents), Fraction(0)))
         for floor in floors:
             # the scan is sorted by similarity, so a floor keeps a prefix of it
-            full = [(name, sim) for name, sim in scan if sim >= floor]
+            num, den = floor.numerator, floor.denominator
+            full = [t for t in scan if t[1] * den >= num * t[2]]  # similarity >= floor
             if i == 0:  # one concept per DAG asks the oracle at every floor
-                assert full == oracle_neighborhood(parents, concept, len(parents), floor)
+                assert full == triples(oracle_neighborhood(parents, concept, len(parents), floor))
             for size in sorted({1, 3, 10, len(parents)}) * passes:
                 got = neighborhood(store, small_id(concept), size, floor)
-                assert [(c.name, s) for c, s in got] == full[:size], (
+                assert [(c.name, s.numerator, s.denominator) for c, s in got] == full[:size], (
                     f"seed={seed} concept={concept} size={size} floor={floor}"
                 )
     return store
+
+
+def triples(scored: list[tuple[str, Fraction]]) -> list[tuple[str, int, int]]:
+    return [(name, sim.numerator, sim.denominator) for name, sim in scored]
 
 
 class TestAgainstBruteForce:
