@@ -77,31 +77,16 @@ class SelectionResult(NamedTuple):
     neighborhood_sim: Fraction
 
 
-class TreeTest(NamedTuple):
+class TreeBranch(NamedTuple):
+    """A tree test and the subtrees it picks between; a leaf is its action ``ConceptId``."""
+
     kind: str  # "is-a" | "has-marker" | "role-bound"
     value: Union[str, ConceptId]  # a nominal ConceptId for "is-a", a Role for "role-bound"
-
-    def evaluate(
-        self, object_concept: ConceptId, args: ArgumentStructure, store: TaxonomyStore
-    ) -> bool:
-        if self.kind == "is-a":
-            return store.is_a(object_concept, self.value)
-        if self.kind == "has-marker":
-            return self.value in args.context_markers
-        return self.value in args.bindings  # role-bound
-
-
-class TreeBranch(NamedTuple):
-    test: TreeTest
     then: "TreeNode"
     otherwise: "TreeNode"
 
 
-class TreeLeaf(NamedTuple):
-    action: ConceptId
-
-
-TreeNode = Union[TreeBranch, TreeLeaf]
+TreeNode = Union[TreeBranch, ConceptId]
 ACTION_DOMAIN = "action"  # the domain whose concepts tree leaves name
 
 
@@ -114,12 +99,11 @@ def _parse_tree_node(
         name = raw["action"]
         if not isinstance(name, str):
             raise DecisionTreeFormatError(f"{path}: leaf action must be a string")
-        concept = ConceptId(ACTION_DOMAIN, name)
-        if not store.has_concept(concept):
+        if name not in store.domains[ACTION_DOMAIN].nodes:
             raise DecisionTreeFormatError(
                 f"{path}: leaf names unknown action concept {name!r}"
             )
-        return TreeLeaf(action=concept)
+        return ConceptId(ACTION_DOMAIN, name)
     if "test" not in raw or "then" not in raw or "else" not in raw:
         raise DecisionTreeFormatError(
             f"{path}: node needs either an action or test/then/else"
@@ -130,11 +114,12 @@ def _parse_tree_node(
     kind = test_raw.get("kind")
     if kind == "is-a":
         name = test_raw.get("concept")
-        value = ConceptId(nominal_domain, name)
-        if not isinstance(name, str) or not store.has_concept(value):
+        nominal = store.domains.get(nominal_domain)
+        if not isinstance(name, str) or nominal is None or name not in nominal.nodes:
             raise DecisionTreeFormatError(
                 f"{path}: is-a test names unknown nominal concept {name!r}"
             )
+        value = ConceptId(nominal_domain, name)
     elif kind == "has-marker":
         value = test_raw.get("marker")
         if not isinstance(value, str) or not value:
@@ -146,11 +131,9 @@ def _parse_tree_node(
         value = _ROLES[role]
     else:
         raise DecisionTreeFormatError(f"{path}: unknown test kind {kind!r}")
-    return TreeBranch(
-        test=TreeTest(kind=kind, value=value),
-        then=_parse_tree_node(raw["then"], store, nominal_domain, path + "/then"),
-        otherwise=_parse_tree_node(raw["else"], store, nominal_domain, path + "/else"),
-    )
+    then = _parse_tree_node(raw["then"], store, nominal_domain, path + "/then")
+    otherwise = _parse_tree_node(raw["else"], store, nominal_domain, path + "/else")
+    return TreeBranch(kind, value, then, otherwise)
 
 
 def load_decision_tree(text: str, store: TaxonomyStore, nominal_domain: str) -> TreeNode:
@@ -164,11 +147,17 @@ def load_decision_tree(text: str, store: TaxonomyStore, nominal_domain: str) -> 
 def decide_action(
     tree: TreeNode, object_concept: ConceptId, args: ArgumentStructure, store: TaxonomyStore
 ) -> ConceptId:
-    """Walk the tree for the given patient concept and context."""
+    """Walk the tree for the given patient concept and context to its leaf."""
     node = tree
     while isinstance(node, TreeBranch):
-        node = node.then if node.test.evaluate(object_concept, args, store) else node.otherwise
-    return node.action
+        if node.kind == "is-a":
+            passed = store.is_a(object_concept, node.value)
+        elif node.kind == "has-marker":
+            passed = node.value in args.context_markers
+        else:  # role-bound
+            passed = node.value in args.bindings
+        node = node.then if passed else node.otherwise
+    return node
 
 
 def _gather_candidates(

@@ -229,10 +229,6 @@ class TaxonomyStore(NamedTuple):
         except KeyError:
             raise UnknownConceptError(f"unknown domain {name!r}") from None
 
-    def has_concept(self, concept: ConceptId) -> bool:
-        dom = self.domains.get(concept.domain)
-        return dom is not None and concept.name in dom.nodes
-
     def is_a(self, concept: ConceptId, ancestor: ConceptId) -> bool:
         """Reflexive-transitive subsumption within one domain."""
         if concept.domain != ancestor.domain:

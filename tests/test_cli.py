@@ -127,6 +127,23 @@ class TestSelect:
         assert "domain ch-of-state" in out
         assert "constraint (is-a line-segment-object E1)" in out
 
+    def test_explain_a_candidate_without_constraints(self, capsys, tmp_path):
+        doc = json.loads(bundled.bundled_text(bundled.LEXICON_FILE))
+        for sense in doc["senses"]:
+            if sense["sense_id"] == "duan-la":
+                del sense["constraints"]
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps(doc))
+        code, out = run(
+            capsys, "select", "--lexeme", "break", "--e1", "branch-1", "--explain",
+            "--lexicon", str(lexicon),
+        )
+        assert code == 0
+        lines = out.splitlines()
+        start = lines.index(next(line for line in lines if line.startswith("candidate duan-la")))
+        assert lines[start + 2] == "  no constraints: constraint score 1"
+        assert lines.count("  no constraints: constraint score 1") == 1
+
     def test_vocabulary_gap_exits_1(self, capsys):
         code, _ = run(
             capsys, "select", "--lexeme", "break", "--e1", "branch-1", "--floor", "0.81"
@@ -354,6 +371,12 @@ class TestFreq:
         rows = [line.split("\t") for line in out.strip().splitlines()]
         assert rows[1] == ["1", "dasui", "107"]
         assert rows[-1] == ["total", "-", "150"]
+
+    def test_corpus_without_records_exits_2(self, capsys, tmp_path):
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text('{"markers": []}\n')
+        assert main(["freq", "--corpus", str(corpus)]) == 2
+        assert capsys.readouterr().err == "error: corpus has no records to count\n"
 
     def test_json(self, capsys):
         code, out = run(capsys, "freq", "--format", "json")

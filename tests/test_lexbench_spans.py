@@ -4,9 +4,9 @@
 traced run, and ``lexbench/workloads.py`` builds taxonomy nodes itself
 to time ``DomainTaxonomy.build``.  A name or signature the package
 changed would only surface there as a crash in a benchmark run, so these
-tests resolve every traced name and run the loader timings once.  The
-workload's ``reference_neighborhood`` also checks ``neighborhood`` here, on
-small DAGs of the shape the benchmark generates.
+tests resolve every traced name, check that each span fires, and run the
+loader timings once.  The workload's ``reference_neighborhood`` also checks
+``neighborhood`` here, on small DAGs of the shape the benchmark generates.
 """
 
 import importlib
@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from dag_oracle import as_taxonomy_doc
-from lexsel import ConceptId, load_taxonomy, neighborhood
+from lexsel import ConceptId, bundled, cli, corpus, load_taxonomy, neighborhood, selector
 
 LEXBENCH = Path(__file__).resolve().parents[1] / "lexbench"
 
@@ -40,6 +40,25 @@ def test_every_traced_attribute_resolves():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert targets and not missing
+
+
+def test_every_span_fires_on_the_gold_clauses_and_one_select(capsys):
+    """A refactor that stops calling a traced function by its patched name
+    would leave that span, and the layer metric read from it, empty."""
+    spans = load_lexbench("spans")
+    tracer = spans.Tracer()
+    with tracer.patched():
+        store = bundled.load_bundled_store()
+        lexicon = bundled.load_bundled_lexicon(store)
+        tree = bundled.load_bundled_tree(store, lexicon.nominal_domain)
+        for record in corpus.load_corpus(bundled.bundled_text(bundled.CORPUS_FILE)).records:
+            args = corpus.to_argument_structure(record, store, lexicon.nominal_domain)
+            selector.translate(lexicon, store, args, selector.SelectionConfig(), tree)
+        assert cli.main(["select", "--lexeme", "break", "--e1", "stick-1"]) == 0
+    capsys.readouterr()
+    fired = {span[spans.NAME] for span in tracer.spans}
+    missing = {name for _, _, name, _ in spans.SPANNED} - fired
+    assert not missing, sorted(missing)
 
 
 def test_loader_timings_run_on_the_bundled_data():

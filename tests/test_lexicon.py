@@ -156,6 +156,13 @@ class TestResolveMention:
         got = resolve_mention(store, "entity", "price-peak-1")
         assert got.concept.name == "price-peak"
 
+    def test_whole_token_when_the_stripped_base_is_no_concept(self):
+        store = load_taxonomy(json.dumps({"domains": [{"name": "road", "concepts": [
+            {"id": "way", "parents": []}, {"id": "route-66", "parents": ["way"]},
+        ]}]}))
+        assert resolve_mention(store, "road", "route-66").concept.name == "route-66"
+        assert resolve_mention(store, "road", "route-66-2").concept.name == "route-66"
+
     def test_unknown_mention(self, store):
         with pytest.raises(UnknownConceptError):
             resolve_mention(store, "entity", "unicorn-1")

@@ -44,7 +44,6 @@ from lexsel.bundled import (
     LEXICON_FILE,
     TREE_FILE,
 )
-from lexsel.selector import TreeLeaf, TreeTest
 
 
 @pytest.fixture(scope="module")
@@ -107,8 +106,8 @@ class TestDecideAction:
 class TestTreeLoader:
     def test_bundled_tree_loads(self, store):
         tree = load_decision_tree(bundled_text(TREE_FILE), store, "entity")
-        assert tree.test == TreeTest(kind="has-marker", value="into-pieces")
-        assert tree.then == TreeLeaf(action=action("%hit-action"))
+        assert (tree.kind, tree.value) == ("has-marker", "into-pieces")
+        assert tree.then == action("%hit-action")
 
     def test_plain_leaf(self, store):
         tree = load_decision_tree('{"action": "%hit-action"}', store, "entity")
@@ -151,6 +150,16 @@ class TestTreeLoader:
         with pytest.raises(DecisionTreeFormatError, match="unknown nominal concept"):
             load_decision_tree(json.dumps(doc), store, "entity")
 
+    def test_is_a_concept_must_be_in_a_loaded_nominal_domain(self, store):
+        doc = {
+            "test": {"kind": "is-a", "concept": "vase"},
+            "then": {"action": "%action"},
+            "else": {"action": "%action"},
+        }
+        load_decision_tree(json.dumps(doc["then"]), store, "no-such-domain")  # no is-a test
+        with pytest.raises(DecisionTreeFormatError, match="unknown nominal concept 'vase'"):
+            load_decision_tree(json.dumps(doc), store, "no-such-domain")
+
     def test_is_a_tests_the_concept_checked_at_load(self):
         def domain(name, *chain):  # each concept is the child of the one before it
             concepts = [{"id": c, "parents": [chain[i - 1]] if i else []}
@@ -168,7 +177,7 @@ class TestTreeLoader:
             "else": {"action": "%action"},
         }
         tree = load_decision_tree(json.dumps(doc), store, "entity")
-        assert tree.test == TreeTest(kind="is-a", value=ConceptId("entity", "rod"))
+        assert (tree.kind, tree.value) == ("is-a", ConceptId("entity", "rod"))
         args = ArgumentStructure("break", {})
         assert decide_action(tree, ConceptId("entity", "rod"), args, store) == action(
             "%hit-action"
