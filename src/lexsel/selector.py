@@ -8,11 +8,13 @@ match score, neighborhood similarity, then sense id.
 
 ``translate`` additionally consults a data-driven decision tree that
 names the action implied by the patient and context (hit, bend, ...).
-The rerank is a stable sort within concept-score ties: senses whose
-implicit action component equals the decided action move ahead of the
-others with the same concept score, and every other order is kept.  A
-tree leaf naming the action-domain root means "no particular action
-implied" and promotes nothing.
+Parsed, the tree is plain data: a ``TreeBranch`` holds its own test and
+two subtrees, and a leaf is the action ``ConceptId`` itself.  The rerank
+is a stable sort within concept-score ties: senses whose implicit action
+component equals the decided action move ahead of the others with the
+same concept score, and every other order is kept.  A tree leaf naming
+the action-domain root means "no particular action implied" and promotes
+nothing.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class SelectionResult(NamedTuple):
 
 
 class TreeBranch(NamedTuple):
-    """A tree test and the subtrees it picks between; a leaf is its action ``ConceptId``."""
+    """One tree test and the two subtrees it picks between; a leaf is an action ``ConceptId``."""
 
     kind: str  # "is-a" | "has-marker" | "role-bound"
     value: Union[str, ConceptId]  # a nominal ConceptId for "is-a", a Role for "role-bound"

@@ -189,8 +189,7 @@ class PipelineOracle:
     ):
         """The expected ``Outcome``, or ``GAP``; raises ``MatcherError`` as ``translate`` does."""
         weights, default = read_weights(weights_text)
-        source = None
-        best = None
+        source, best = None, None
         for sense in self.lexicon.source_senses(args.source_lexeme):
             score = self.constraint_score(sense, args)
             if best is None or score > best:
@@ -198,7 +197,7 @@ class PipelineOracle:
         inter_rep = build_inter_rep(source, args)
         clause = {domain: slot.concept for domain, slot in inter_rep.slots.items()}
 
-        found: dict[str, tuple[Fraction, str, ConceptId]] = {}  # sense -> (sim, via name, via)
+        found: dict[str, tuple[Fraction, ConceptId]] = {}  # sense id -> (similarity, via)
         for slot in inter_rep.slots.values():
             if slot.status is not SlotStatus.OBL:
                 continue
@@ -210,8 +209,8 @@ class PipelineOracle:
             for sim, via in offers:
                 for sense_id in self.realizations(via):
                     old = found.get(sense_id)
-                    if old is None or (-sim, via.name) < (-old[0], old[1]):
-                        found[sense_id] = (sim, via.name, via)
+                    if old is None or (-sim, via.name) < (-old[0], old[1].name):
+                        found[sense_id] = (sim, via)
         if not found:
             return GAP
 
@@ -223,7 +222,7 @@ class PipelineOracle:
         promote = action is not None and self.parents[ACTION][action.name] != ()
 
         rows = []
-        for sense_id, (sim, _, via) in found.items():
+        for sense_id, (sim, via) in found.items():
             sense = self.lexicon.senses[sense_id]
             slot = sense.projection.get(ACTION)
             matches = promote and slot is not None and slot.concept == action
