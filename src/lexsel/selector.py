@@ -116,8 +116,7 @@ def _parse_tree_node(
     kind = test_raw.get("kind")
     if kind == "is-a":
         name = test_raw.get("concept")
-        nominal = store.domains.get(nominal_domain)
-        if not isinstance(name, str) or nominal is None or name not in nominal.nodes:
+        if not isinstance(name, str) or name not in store.domains[nominal_domain].nodes:
             raise DecisionTreeFormatError(
                 f"{path}: is-a test names unknown nominal concept {name!r}"
             )
@@ -143,6 +142,8 @@ def load_decision_tree(text: str, store: TaxonomyStore, nominal_domain: str) -> 
     doc = parse_json(text, DecisionTreeFormatError, "tree document")
     if ACTION_DOMAIN not in store.domains:
         raise DecisionTreeFormatError(f"unknown action domain {ACTION_DOMAIN!r}")
+    if nominal_domain not in store.domains:
+        raise DecisionTreeFormatError(f"nominal_domain {nominal_domain!r} is not a loaded domain")
     return _parse_tree_node(doc, store, nominal_domain, "root")
 
 
@@ -219,12 +220,10 @@ def rank_candidates(
             f"no target realization within floor {config.floor} of: {concepts}"
         )
     results = []
-    for sense_id, (via, sim) in found.items():
+    for sense_id, (via, sim) in sorted(found.items()):  # sense ids are unique
         score = inexact_match(inter_rep, lexicon.senses[sense_id], args, config.weights, store)
         results.append(SelectionResult(sense_id, score, via, sim))
-    # scores descending, ties by sense id: a reversed sort keeps equal keys
-    # in their input order, so sorting by id first settles the ties
-    results.sort(key=lambda r: r.sense_id)
+    # scores descending, ties by sense id: a reversed sort keeps equal keys in input order
     results.sort(
         key=lambda r: (r.score.concept_score, r.score.constraint_score, r.neighborhood_sim),
         reverse=True,

@@ -6,17 +6,20 @@ to time ``DomainTaxonomy.build``.  A name or signature the package
 changed would only surface there as a crash in a benchmark run, so these
 tests resolve every traced name, check that each span fires, and run the
 loader timings once.  The workload's ``reference_neighborhood`` also checks
-``neighborhood`` here, on small DAGs of the shape the benchmark generates.
+``neighborhood`` here, on small DAGs of the shape the benchmark generates,
+and the generator's own self-test runs as a child process.
 """
 
 import importlib
 import importlib.util
 import json
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+from conftest import child_env
 from dag_oracle import as_taxonomy_doc
 from lexsel import ConceptId, bundled, cli, corpus, load_taxonomy, neighborhood, selector
 
@@ -90,3 +93,14 @@ def test_neighborhood_matches_the_benchmark_reference_on_its_dag_shape():
                     assert [(c.name, sim) for c, sim in got] == want[:size], (
                         f"seed={seed} centre={centre} floor={floor} size={size}"
                     )
+
+
+def test_generator_self_test_passes():
+    """``python3 lexbench/gen.py`` checks ``DomainTaxonomy.depth`` and ``.up``
+    against an oracle on the generator's own DAGs."""
+    child = subprocess.run(
+        [sys.executable, str(LEXBENCH / "gen.py")], capture_output=True, text=True, timeout=120,
+        env=child_env(),
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout.startswith("self-test ok")

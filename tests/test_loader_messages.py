@@ -345,6 +345,17 @@ def test_tree_needs_the_action_domain():
     )
 
 
+def test_tree_needs_a_loaded_nominal_domain(store):
+    with pytest.raises(DecisionTreeFormatError) as info:
+        load_decision_tree(_tree(LEAF), store, "no-such-domain")
+    assert str(info.value) == "nominal_domain 'no-such-domain' is not a loaded domain"
+    # The missing action domain is reported first.
+    no_action = load_taxonomy(_taxonomy(_domain("entity", _concept("entity"))))
+    with pytest.raises(DecisionTreeFormatError) as info:
+        load_decision_tree(_tree(LEAF), no_action, "no-such-domain")
+    assert str(info.value) == "unknown action domain 'action'"
+
+
 HEADER = '{"markers": ["m"], "note": "n"}'
 
 

@@ -18,6 +18,7 @@ from lexsel import (
     MatchScore,
     ProjectionSlot,
     Role,
+    SelectionConfig,
     SlotStatus,
     build_inter_rep,
     candidate_slots,
@@ -29,6 +30,7 @@ from lexsel import (
     load_corpus,
     resolve_mention,
     to_argument_structure,
+    translate,
     word_sim_breakdown,
 )
 from lexsel.bundled import (
@@ -37,7 +39,10 @@ from lexsel.bundled import (
     bundled_text,
     load_bundled_lexicon,
     load_bundled_store,
+    load_bundled_tree,
 )
+from lexsel.matcher import _score
+from test_taxonomy import bundled_clauses
 
 
 @pytest.fixture(scope="module")
@@ -437,3 +442,35 @@ class TestArithmeticOracle:
                 assert fit == sum((d.degree for d in degrees), Fraction(0)) / len(degrees)
             else:
                 assert fit == 1
+
+
+class TestSharedScoreValues:
+    """Counts, not timings: a warm pass over the bundled clauses makes no ``Fraction``."""
+
+    @pytest.fixture(scope="class")
+    def run_bundled(self, store, lexicon):
+        tree = load_bundled_tree(store, lexicon.nominal_domain)
+        clauses = bundled_clauses(store, lexicon)
+        config = SelectionConfig()  # one weights object, so its shares are read once
+        assert len(clauses) == 162
+        return lambda: [translate(lexicon, store, args, config, tree) for args in clauses]
+
+    def test_warm_pass_builds_no_fraction(self, run_bundled):
+        want = run_bundled()
+        built = []
+        saved = vars(Fraction)["__new__"]
+        Fraction.__new__ = staticmethod(lambda cls, *a, **k: built.append(a) or saved(cls, *a, **k))
+        try:
+            again = run_bundled()
+        finally:
+            Fraction.__new__ = saved
+        assert again == want
+        assert built == []
+
+    def test_second_pass_adds_no_score(self, run_bundled):
+        _score.cache_clear()
+        sizes = []
+        for _ in range(2):
+            run_bundled()
+            sizes.append(_score.cache_info().currsize)
+        assert 0 < sizes[0] == sizes[1]
