@@ -40,7 +40,7 @@ from .matcher import (
     constraint_satisfaction,
     inexact_match,
 )
-from .taxonomy import ConceptId, TaxonomyStore, neighborhood
+from .taxonomy import ConceptId, TaxonomyStore, _check_limits, neighborhood
 
 _EXACT = Fraction(1)  # the neighborhood similarity of an exact realization
 
@@ -58,15 +58,7 @@ class SelectionConfig(
         cls, floor: Fraction = Fraction(1, 2), max_candidates: int = 10, weights=_FRESH
     ) -> "SelectionConfig":
         weights = DomainWeights() if weights is _FRESH else weights
-        # only an exact floor compares to exact similarities as written
-        if isinstance(floor, bool) or not isinstance(floor, (int, Fraction)):
-            raise LexselError(f"floor must be an int or a Fraction, got {floor!r}")
-        if not 0 <= floor <= 1:
-            raise LexselError(f"floor must be within [0, 1], got {floor}")
-        if isinstance(max_candidates, bool) or not isinstance(max_candidates, int):
-            raise LexselError(f"max_candidates must be an int, got {max_candidates!r}")
-        if max_candidates < 1:
-            raise LexselError(f"max_candidates must be >= 1, got {max_candidates}")
+        _check_limits(floor, max_candidates, "max_candidates")
         if not isinstance(weights, DomainWeights):
             raise LexselError(f"weights must be a DomainWeights, got {weights!r}")
         return super().__new__(cls, floor, max_candidates, weights)

@@ -26,7 +26,13 @@ from functools import cache, cmp_to_key
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import CrossDomainError, TaxonomyFormatError, UnknownConceptError, parse_json
+from .errors import (
+    CrossDomainError,
+    LexselError,
+    TaxonomyFormatError,
+    UnknownConceptError,
+    parse_json,
+)
 
 
 class ConceptId(NamedTuple):
@@ -149,23 +155,11 @@ class DomainTaxonomy(
             raise TaxonomyFormatError(
                 f"{where}: multiple root concepts: {', '.join(sorted(roots))}"
             )
-        for name, parents in nodes.items():
-            for parent in parents:
-                if parent not in nodes:
-                    raise TaxonomyFormatError(
-                        f"{where}: concept {name!r} names missing parent {parent!r}"
-                    )
         depth: dict[str, int] = {}
         on_path: set[str] = set()  # concepts on the stack, not yet finished
-
-        def finish(name: str, parents: tuple[str, ...]) -> None:
-            """The depth of ``name`` from its finished parents' depths."""
-            depth[name] = 1 + max(map(depth.__getitem__, parents)) if parents else 1
-
-        # Iterative post-order walk up the parent edges: a concept is
-        # finished once all its parents are, so its depth comes from the
-        # parents' finished entries in one pass, with no recursion.  A
-        # concept whose parents are all finished skips the stack.
+        # Iterative post-order walk up the parent edges: a concept's depth comes from its
+        # parents' once all are finished.  One whose parents are all finished skips the stack;
+        # every other parent is looked up as it is pushed, so no missing parent goes unseen.
         for start, parents in nodes.items():
             if start in depth:
                 continue
@@ -173,7 +167,7 @@ class DomainTaxonomy(
                 if parent not in depth:
                     break
             else:  # every parent is finished: no walk needed
-                finish(start, parents)
+                depth[start] = 1 + max(map(depth.__getitem__, parents), default=0)
                 continue
             on_path.add(start)
             stack = [(start, iter(parents))]
@@ -184,13 +178,17 @@ class DomainTaxonomy(
                         continue
                     if parent in on_path:
                         raise TaxonomyFormatError(f"{where}: cycle through concept {parent!r}")
+                    if parent not in nodes:
+                        raise TaxonomyFormatError(
+                            f"{where}: concept {name!r} names missing parent {parent!r}"
+                        )
                     on_path.add(parent)
                     stack.append((parent, iter(nodes[parent])))
                     break
                 else:
                     stack.pop()
                     on_path.discard(name)
-                    finish(name, nodes[name])
+                    depth[name] = 1 + max(map(depth.__getitem__, nodes[name]), default=0)
         return cls(domain=domain, nodes=nodes, root=roots[0], depth=depth)
 
     def require(self, name: str) -> None:
@@ -405,6 +403,19 @@ def _more_similar(a: tuple[int, int], b: tuple[int, int]) -> int:
 _MORE_SIMILAR_FIRST = cmp_to_key(_more_similar)
 
 
+def _check_limits(floor: int | Fraction, size: int, size_name: str) -> None:
+    """Raise ``LexselError`` unless ``floor`` is in [0, 1] and ``size`` >= 1, floor first."""
+    # only an exact floor compares to exact similarities as written
+    if isinstance(floor, bool) or not isinstance(floor, (int, Fraction)):
+        raise LexselError(f"floor must be an int or a Fraction, got {floor!r}")
+    if not 0 <= floor.numerator <= floor.denominator:  # the denominator is positive
+        raise LexselError(f"floor must be within [0, 1], got {floor}")
+    if isinstance(size, bool) or not isinstance(size, int):
+        raise LexselError(f"{size_name} must be an int, got {size!r}")
+    if size < 1:
+        raise LexselError(f"{size_name} must be >= 1, got {size}")
+
+
 def neighborhood(
     store: TaxonomyStore,
     concept: ConceptId,
@@ -427,14 +438,10 @@ def neighborhood(
     ``(n1 + n2, n3)`` pair is put in lowest terms before the groups are
     merged, ordered and tested against ``floor`` by cross-multiplying, and
     names are sorted within each group.  A ``Fraction`` is built only for
-    the pairs handed out.  Each domain keeps the result per
-    ``(name, max_size, floor)`` and hands out a fresh list.
+    the pairs handed out.  Each domain keeps the result per ``(name, max_size, floor)``
+    and hands out a fresh list.  Bad limits raise ``LexselError`` as ``SelectionConfig``'s do.
     """
-    if isinstance(max_size, bool) or not isinstance(max_size, int) or max_size < 1:
-        raise ValueError(f"max_size must be an int >= 1, got {max_size!r}")
-    if (isinstance(floor, bool) or not isinstance(floor, (int, Fraction))
-            or not 0 <= floor <= 1):
-        raise ValueError(f"floor must be an int or a Fraction within [0, 1], got {floor!r}")
+    _check_limits(floor, max_size, "max_size")
     dom = store.domain(concept.domain)
     memo_key = (concept.name, max_size, floor)
     found = dom._near.get(memo_key)

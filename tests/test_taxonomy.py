@@ -25,6 +25,7 @@ from lexsel import (
     ConceptId,
     ConceptNode,
     CrossDomainError,
+    LexselError,
     Role,
     SelectionConfig,
     SelectionConstraint,
@@ -229,6 +230,13 @@ class TestBuild:
             ({"A": (), "B": ()}, "multiple root concepts: A, B"),
             ({"A": (), "B": ("ghost",)}, "concept 'B' names missing parent 'ghost'"),
             ({"root": (), "A": ("B", "root"), "B": ("A",)}, "cycle through concept 'A'"),
+            # met on the walk up from A: the concept named is the one listing it
+            (
+                {"root": (), "A": ("B",), "B": ("ghost",)},
+                "concept 'B' names missing parent 'ghost'",
+            ),
+            # two defects: the walk from A meets the cycle before it reaches C
+            ({"root": (), "A": ("B",), "B": ("A",), "C": ("ghost",)}, "cycle through concept 'A'"),
         ],
     )
     def test_build_errors_read_the_same_for_either_input(self, parents, problem):
@@ -330,19 +338,50 @@ class TestNeighborhood:
         ]
 
     def test_rejects_bad_parameters(self):
+        # each bad key equals the stored (B, 1, 1) one, so only the check before the memo stops it
         store = store_from(SMALL)
-        with pytest.raises(ValueError):
-            neighborhood(store, small_id("B"), max_size=0, floor=0)
-        with pytest.raises(ValueError):
-            neighborhood(store, small_id("B"), max_size=5, floor=Fraction(3, 2))
-        with pytest.raises(ValueError, match="floor must be an int or a Fraction"):
-            neighborhood(store, small_id("B"), max_size=5, floor=0.5)
-        with pytest.raises(ValueError, match="max_size must be an int"):
-            neighborhood(store, small_id("B"), max_size=2.5, floor=0)
-        with pytest.raises(ValueError, match="max_size must be an int"):
-            neighborhood(store, small_id("B"), max_size=True, floor=0)
-        with pytest.raises(ValueError, match="floor must be an int or a Fraction"):
-            neighborhood(store, small_id("B"), max_size=5, floor=True)
+        assert neighborhood(store, small_id("B"), max_size=1, floor=1) == []
+        for max_size, floor, problem in [
+            (1, 1.0, "floor must be an int or a Fraction, got 1.0"),
+            (1, True, "floor must be an int or a Fraction, got True"),
+            (True, 1, "max_size must be an int, got True"),
+            (1.0, 1, "max_size must be an int, got 1.0"),
+        ]:
+            with pytest.raises(LexselError) as err:
+                neighborhood(store, small_id("B"), max_size=max_size, floor=floor)
+            assert str(err.value) == problem
+
+    @pytest.mark.parametrize(
+        "floor, size, problem",
+        [
+            (Fraction(3, 2), 5, "floor must be within [0, 1], got 3/2"),
+            (Fraction(-1, 10), 5, "floor must be within [0, 1], got -1/10"),
+            (2, 5, "floor must be within [0, 1], got 2"),
+            (-1, 5, "floor must be within [0, 1], got -1"),
+            # a float floor is compared at its binary value: 0.8 > Fraction(4, 5)
+            (0.8, 5, "floor must be an int or a Fraction, got 0.8"),
+            ("0.5", 5, "floor must be an int or a Fraction, got '0.5'"),
+            (True, 5, "floor must be an int or a Fraction, got True"),
+            (None, 5, "floor must be an int or a Fraction, got None"),
+            (0, 0, "{size} must be >= 1, got 0"),
+            (Fraction(1, 2), -3, "{size} must be >= 1, got -3"),
+            (1, 2.5, "{size} must be an int, got 2.5"),
+            (0, True, "{size} must be an int, got True"),
+            (0, "5", "{size} must be an int, got '5'"),
+            # both bad: the floor is reported first
+            (Fraction(3, 2), 0, "floor must be within [0, 1], got 3/2"),
+        ],
+    )
+    def test_bad_limits_read_the_same_as_the_config(self, floor, size, problem):
+        store = store_from(SMALL)
+        for size_name, call in (
+            ("max_candidates", lambda: SelectionConfig(floor=floor, max_candidates=size)),
+            ("max_size", lambda: neighborhood(store, small_id("B"), max_size=size, floor=floor)),
+        ):
+            with pytest.raises(LexselError) as err:
+                call()
+            assert type(err.value) is LexselError
+            assert str(err.value) == problem.format(size=size_name)
 
 
 def chain(length: int) -> dict[str, tuple[str, ...]]:
@@ -803,23 +842,34 @@ class TestMemos:
         store = merge_stores([store_from(SMALL, "one"), store_from(SMALL, "two")])
         one, two = ConceptId("one", "B"), ConceptId("two", "B")
         nope = ConceptId("one", "nope")
+        missing = "domain 'one' has no concept 'nope'"
         calls = [
-            lambda: con_sim(store, nope, one),
-            lambda: least_common_superconcept(store, one, nope),
-            lambda: con_sim(store, one, two),
-            lambda: store.is_a(nope, one),
-            lambda: _via_degrees(store, one, two),
-            lambda: neighborhood(store, nope, 5, 0),
-            lambda: neighborhood(store, one, True, 0),
-            lambda: neighborhood(store, one, 5, Fraction(3, 2)),
+            (lambda: con_sim(store, nope, one), missing),
+            (lambda: least_common_superconcept(store, one, nope), missing),
+            (
+                lambda: con_sim(store, one, two),
+                "cannot compare one:B with two:B: different domains",
+            ),
+            (lambda: store.is_a(nope, one), missing),
+            (
+                lambda: _via_degrees(store, one, two),
+                "cannot relate one:B to two:B: different domains",
+            ),
+            (lambda: neighborhood(store, nope, 5, 0), missing),
+            (lambda: neighborhood(store, one, True, 0), "max_size must be an int, got True"),
+            (
+                lambda: neighborhood(store, one, 5, Fraction(3, 2)),
+                "floor must be within [0, 1], got 3/2",
+            ),
         ]
-        for call in calls:
+        for call, problem in calls:
             raised = []
             for _ in range(2):
-                with pytest.raises((UnknownConceptError, CrossDomainError, ValueError)) as err:
+                with pytest.raises(LexselError) as err:
                     call()
                 raised.append((type(err.value), str(err.value)))
             assert raised[0] == raised[1]
+            assert raised[0][1] == problem
         assert memo_sizes(store) == [(0, 0), (0, 0)]
         # a pair of the same names kept in one domain does not answer across domains
         assert con_sim(store, one, one) == 1
