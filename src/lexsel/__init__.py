@@ -38,7 +38,6 @@ from .lexicon import (
     build_inter_rep,
     load_lexicon,
     resolve_clause,
-    resolve_mention,
 )
 from .matcher import (
     ConstraintDegree,

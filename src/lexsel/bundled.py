@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 
+from .errors import _read_text
 from .lexicon import Lexicon, load_lexicon
 from .selector import TreeNode, load_decision_tree
 from .taxonomy import TaxonomyStore, load_taxonomy, merge_stores
@@ -17,8 +18,7 @@ _DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def bundled_text(name: str) -> str:
-    with open(os.path.join(_DATA, name), encoding="utf-8") as file:
-        return file.read()
+    return _read_text(os.path.join(_DATA, name))
 
 
 def load_bundled_store() -> TaxonomyStore:

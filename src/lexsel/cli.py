@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from . import bundled
 from .corpus import Corpus, evaluate_corpus, frequency_table, load_corpus
-from .errors import LexselError, VocabularyGapError, parse_fraction
+from .errors import LexselError, VocabularyGapError, _read_text, parse_fraction
 from .lexicon import Lexicon, Role, load_lexicon, resolve_clause
 from .matcher import DomainWeights
 from .selector import SelectionConfig, Translation, TreeNode, load_decision_tree, translate
@@ -153,16 +153,6 @@ def _selection_flags(parser: argparse.ArgumentParser) -> None:
         default=SelectionConfig().max_candidates,
         help="neighborhood size limit (default: 10)",
     )
-
-
-def _read_text(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as file:
-            return file.read()
-    except UnicodeDecodeError as exc:
-        raise LexselError(
-            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from None
 
 
 def _load_store(ns: argparse.Namespace) -> TaxonomyStore:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the JSON and number readers.
+"""Exception types shared across the package, and the file, JSON and number readers.
 
 Every error raised on bad input data names the offending object (domain,
 concept, sense, record line) so callers can report it without digging.
@@ -56,6 +56,15 @@ class CorpusFormatError(LexselError):
 
 class VocabularyGapError(LexselError):
     """No target realization exists within the neighborhood floor."""
+
+
+def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at ``path``; a ``LexselError`` if it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            return file.read()
+    except UnicodeDecodeError as exc:
+        raise LexselError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def parse_json(

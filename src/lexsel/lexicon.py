@@ -112,25 +112,6 @@ class InterRep(NamedTuple):
         return tuple(s.concept for s in self.slots.values() if s.status is SlotStatus.OBL)
 
 
-def resolve_mention(store: TaxonomyStore, nominal_domain: str, token: str) -> Binding:
-    """Map a mention like ``branch-1`` to its nominal concept.
-
-    A trailing ``-<digits>`` tags an instance and is stripped when the
-    stripped base names a concept; otherwise the token itself must.
-    """
-    if token.split() != [token]:  # empty, or whitespace as str.isspace has it
-        raise LexiconFormatError(f"bad entity mention {token!r}")
-    dom = store.domain(nominal_domain)
-    base = _MENTION_SUFFIX.sub("", token)
-    if base in dom.nodes:
-        return Binding(mention=token, concept=ConceptId(nominal_domain, base))
-    if token in dom.nodes:
-        return Binding(mention=token, concept=ConceptId(nominal_domain, token))
-    raise UnknownConceptError(
-        f"mention {token!r} does not name a concept in domain {nominal_domain!r}"
-    )
-
-
 def resolve_clause(
     store: TaxonomyStore,
     nominal_domain: str,
@@ -138,8 +119,25 @@ def resolve_clause(
     mentions: Iterable[tuple[Role, str]],
     markers: Iterable[str] = (),
 ) -> ArgumentStructure:
-    """A clause whose ``(role, raw mention)`` pairs resolve in the order given."""
-    bindings = {role: resolve_mention(store, nominal_domain, m) for role, m in mentions}
+    """A clause whose ``(role, raw mention)`` pairs resolve in the order given.
+
+    A mention like ``branch-1`` names its nominal concept: a trailing
+    ``-<digits>`` tags an instance and is stripped when the stripped base
+    names a concept; otherwise the mention itself must.
+    """
+    bindings = {}
+    for role, token in mentions:
+        if token.split() != [token]:  # empty, or whitespace as str.isspace has it
+            raise LexiconFormatError(f"bad entity mention {token!r}")
+        nodes = store.domain(nominal_domain).nodes
+        name = _MENTION_SUFFIX.sub("", token)
+        if name not in nodes:
+            if token not in nodes:
+                raise UnknownConceptError(
+                    f"mention {token!r} does not name a concept in domain {nominal_domain!r}"
+                )
+            name = token
+        bindings[role] = Binding(token, ConceptId(nominal_domain, name))
     return ArgumentStructure(source_lexeme, bindings, frozenset(markers))
 
 

@@ -89,7 +89,8 @@ def _parse_tree_node(
 ) -> TreeNode:
     if not isinstance(raw, dict):
         raise DecisionTreeFormatError(f"{path}: node must be an object")
-    if "action" in raw:
+    branch = raw.keys() & {"test", "then", "else"}
+    if "action" in raw and not branch:
         name = raw["action"]
         if not isinstance(name, str):
             raise DecisionTreeFormatError(f"{path}: leaf action must be a string")
@@ -98,7 +99,7 @@ def _parse_tree_node(
                 f"{path}: leaf names unknown action concept {name!r}"
             )
         return ConceptId(ACTION_DOMAIN, name)
-    if "test" not in raw or "then" not in raw or "else" not in raw:
+    if "action" in raw or len(branch) < 3:
         raise DecisionTreeFormatError(
             f"{path}: node needs either an action or test/then/else"
         )

@@ -71,7 +71,7 @@ class ConceptNode(NamedTuple):
 
     The benchmark's ``loader_timings`` times ``build`` on a map of these; the
     store never holds one.  The class and ``build``'s branch for it go once that
-    caller passes the parents map (ROADMAP item 1, "Node construction").
+    caller passes the parents map (ROADMAP item 1, "Deletions it unlocks").
     """
 
     id: ConceptId

@@ -12,14 +12,10 @@ import sys
 import time
 from fractions import Fraction
 
-import pytest
-
-from conftest import DATA, child_env, record_verdict
+from conftest import DATA, args_for, child_env, record_verdict
 from dag_oracle import as_taxonomy_doc, oracle_con_sim, oracle_lcs, random_rooted_dag
 from lexsel import (
-    ArgumentStructure,
     ConceptId,
-    Role,
     SelectionConfig,
     con_sim,
     evaluate_corpus,
@@ -28,7 +24,6 @@ from lexsel import (
     load_taxonomy,
     matcher,
     rerank_by_action,
-    resolve_mention,
     to_argument_structure,
     translate,
 )
@@ -45,30 +40,6 @@ from lexsel.bundled import (
 def report(name: str, ok: bool, detail: str = "") -> None:
     line = record_verdict(name, ok, detail)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def store():
-    return load_bundled_store()
-
-
-@pytest.fixture(scope="module")
-def lexicon(store):
-    return load_bundled_lexicon(store)
-
-
-@pytest.fixture(scope="module")
-def tree(store, lexicon):
-    return load_bundled_tree(store, lexicon.nominal_domain)
-
-
-def args_for(store, lexeme="break", markers=(), **mentions) -> ArgumentStructure:
-    bindings = {
-        Role[r.upper()]: resolve_mention(store, "entity", m) for r, m in mentions.items()
-    }
-    return ArgumentStructure(
-        source_lexeme=lexeme, bindings=bindings, context_markers=frozenset(markers)
-    )
 
 
 def test_concept_similarity_matches_brute_force():

@@ -226,18 +226,13 @@ class TestSelectBuildsTheEvalClause:
 
     RECORDS = bundled_records()
 
-    @pytest.fixture(scope="class")
-    def pipeline(self):
-        store = bundled.load_bundled_store()
-        lexicon = bundled.load_bundled_lexicon(store)
-        return store, lexicon, bundled.load_bundled_tree(store, lexicon.nominal_domain)
-
     def test_every_bundled_record_is_covered(self):
         assert len(self.RECORDS) == 162
 
     @pytest.mark.parametrize("floor", [None, "0.81"], ids=["default-floor", "gap-floor"])
-    def test_select_matches_translate_on_the_record_clause(self, capsys, pipeline, floor):
-        store, lexicon, tree = pipeline
+    def test_select_matches_translate_on_the_record_clause(
+        self, capsys, store, lexicon, tree, floor
+    ):
         config = SelectionConfig() if floor is None else SelectionConfig(floor=Fraction(floor))
         gaps = 0
         for record in self.RECORDS:

@@ -19,29 +19,7 @@ from lexsel import (
     load_corpus,
     to_argument_structure,
 )
-from lexsel.bundled import (
-    CORPUS_FILE,
-    COUNTS_FILE,
-    bundled_text,
-    load_bundled_lexicon,
-    load_bundled_store,
-    load_bundled_tree,
-)
-
-
-@pytest.fixture(scope="module")
-def store():
-    return load_bundled_store()
-
-
-@pytest.fixture(scope="module")
-def lexicon(store):
-    return load_bundled_lexicon(store)
-
-
-@pytest.fixture(scope="module")
-def tree(store, lexicon):
-    return load_bundled_tree(store, lexicon.nominal_domain)
+from lexsel.bundled import CORPUS_FILE, COUNTS_FILE, bundled_text
 
 
 @pytest.fixture(scope="module")

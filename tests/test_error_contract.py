@@ -34,9 +34,6 @@ from lexsel.bundled import (
     TAXONOMY_FILES,
     TREE_FILE,
     bundled_text,
-    load_bundled_lexicon,
-    load_bundled_store,
-    load_bundled_tree,
 )
 from lexsel.errors import parse_fraction
 
@@ -44,10 +41,7 @@ HUGE_INTEGER = "1" * 5000  # beyond the interpreter's 4300-digit str -> int limi
 
 
 @pytest.fixture(scope="module")
-def loaders():
-    store = load_bundled_store()
-    lexicon = load_bundled_lexicon(store)
-    tree = load_bundled_tree(store)
+def loaders(store, lexicon, tree):
     return {
         "taxonomy": load_taxonomy,
         "lexicon": lambda text: load_lexicon(text, store),

@@ -11,27 +11,15 @@ and the generator's own self-test runs as a child process.
 """
 
 import importlib
-import importlib.util
 import json
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
-from conftest import child_env
+from conftest import LEXBENCH, child_env, load_lexbench
 from dag_oracle import as_taxonomy_doc
 from lexsel import ConceptId, bundled, cli, corpus, load_taxonomy, neighborhood, selector
-
-LEXBENCH = Path(__file__).resolve().parents[1] / "lexbench"
-
-
-def load_lexbench(name: str):
-    spec = importlib.util.spec_from_file_location(f"lexbench_{name}", LEXBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_traced_attribute_resolves():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from conftest import args_for
 from lexsel import (
     ArgumentStructure,
     ConceptId,
@@ -21,35 +22,8 @@ from lexsel import (
     load_taxonomy,
     merge_stores,
     resolve_clause,
-    resolve_mention,
 )
-from lexsel.bundled import (
-    LEXICON_FILE,
-    TAXONOMY_FILES,
-    bundled_text,
-    load_bundled_lexicon,
-    load_bundled_store,
-)
-
-
-@pytest.fixture(scope="module")
-def store():
-    return load_bundled_store()
-
-
-@pytest.fixture(scope="module")
-def lexicon(store):
-    return load_bundled_lexicon(store)
-
-
-def args_for(store, lexeme, markers=(), **mentions) -> ArgumentStructure:
-    bindings = {
-        Role[role.upper()]: resolve_mention(store, "entity", mention)
-        for role, mention in mentions.items()
-    }
-    return ArgumentStructure(
-        source_lexeme=lexeme, bindings=bindings, context_markers=frozenset(markers)
-    )
+from lexsel.bundled import LEXICON_FILE, TAXONOMY_FILES, bundled_text, load_bundled_store
 
 
 class TestBundledLexicon:
@@ -140,40 +114,59 @@ class TestBundledLexicon:
             disambiguate(lexicon, args_for(store, "explode", e1="vase-1"), store)
 
 
+def resolve(store, token, domain="entity"):
+    """The binding ``resolve_clause`` makes of one mention."""
+    return resolve_clause(store, domain, "break", [(Role.E0, token)]).bindings[Role.E0]
+
+
 class TestResolveMention:
     def test_strips_instance_suffix(self, store):
-        binding = resolve_mention(store, "entity", "branch-1")
+        binding = resolve(store, "branch-1")
         assert binding.mention == "branch-1"
         assert binding.concept == ConceptId("entity", "branch")
 
     def test_multi_digit_suffix(self, store):
-        assert resolve_mention(store, "entity", "vase-22").concept.name == "vase"
+        assert resolve(store, "vase-22").concept.name == "vase"
 
     def test_plain_concept_name(self, store):
-        assert resolve_mention(store, "entity", "john").concept.name == "john"
+        assert resolve(store, "john").concept.name == "john"
 
     def test_hyphenated_concept_with_suffix(self, store):
-        got = resolve_mention(store, "entity", "price-peak-1")
+        got = resolve(store, "price-peak-1")
         assert got.concept.name == "price-peak"
 
     def test_whole_token_when_the_stripped_base_is_no_concept(self):
         store = load_taxonomy(json.dumps({"domains": [{"name": "road", "concepts": [
             {"id": "way", "parents": []}, {"id": "route-66", "parents": ["way"]},
         ]}]}))
-        assert resolve_mention(store, "road", "route-66").concept.name == "route-66"
-        assert resolve_mention(store, "road", "route-66-2").concept.name == "route-66"
+        assert resolve(store, "route-66", "road").concept.name == "route-66"
+        assert resolve(store, "route-66-2", "road").concept.name == "route-66"
 
     def test_unknown_mention(self, store):
-        with pytest.raises(UnknownConceptError):
-            resolve_mention(store, "entity", "unicorn-1")
+        with pytest.raises(UnknownConceptError) as err:
+            resolve(store, "unicorn-1")
+        assert str(err.value) == "mention 'unicorn-1' does not name a concept in domain 'entity'"
 
     def test_non_numeric_suffix_is_not_stripped(self, store):
-        with pytest.raises(UnknownConceptError):
-            resolve_mention(store, "entity", "branch-1x")
+        with pytest.raises(UnknownConceptError) as err:
+            resolve(store, "branch-1x")
+        assert str(err.value) == "mention 'branch-1x' does not name a concept in domain 'entity'"
 
     def test_rejects_whitespace(self, store):
-        with pytest.raises(LexiconFormatError):
-            resolve_mention(store, "entity", "two words")
+        with pytest.raises(LexiconFormatError) as err:
+            resolve(store, "two words")
+        assert str(err.value) == "bad entity mention 'two words'"
+
+
+def test_each_mention_checks_whitespace_then_domain_then_concept(store):
+    assert resolve_clause(store, "nowhere", "break", []).bindings == {}
+    for mentions, error, message in [
+        (["two words"], LexiconFormatError, "bad entity mention 'two words'"),
+        (["vase-1", "two words"], UnknownConceptError, "unknown domain 'nowhere'"),
+    ]:
+        with pytest.raises(error) as err:
+            resolve_clause(store, "nowhere", "break", list(zip(Role, mentions)))
+        assert str(err.value) == message
 
 
 class TestResolveClause:

@@ -22,7 +22,6 @@ from lexsel import (
     load_lexicon,
     load_taxonomy,
 )
-from lexsel.bundled import load_bundled_store
 
 HUGE_INTEGER = "1" * 5000  # beyond the interpreter's 4300-digit str -> int limit
 DEEP = '{"a":' * 3000 + "{}" + "}" * 3000
@@ -254,11 +253,6 @@ LEXICON = [
 ]
 
 
-@pytest.fixture(scope="module")
-def store():
-    return load_bundled_store()
-
-
 @pytest.mark.parametrize(
     "text, message", [case[1:] for case in LEXICON], ids=[case[0] for case in LEXICON]
 )
@@ -293,6 +287,8 @@ TREE = [
     ("action-from-other-domain", _tree({"action": "entity"}),
      "root: leaf names unknown action concept 'entity'"),
     ("node-incomplete", _tree({"test": {"kind": "has-marker", "marker": "m"}, "then": LEAF}),
+     "root: node needs either an action or test/then/else"),
+    ("action-with-test", _tree({**LEAF, **_branch({"kind": "has-marker", "marker": "m"})}),
      "root: node needs either an action or test/then/else"),
     ("test-not-object", _tree(_branch("is-a")), "root: test must be an object"),
     ("is-a-unknown", _tree(_branch({"kind": "is-a", "concept": "unicorn"})),

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import args_for, bundled_clauses
 from lexsel import (
-    ArgumentStructure,
     ConceptId,
     DomainWeights,
     MatcherError,
     MatchScore,
     ProjectionSlot,
-    Role,
     SelectionConfig,
     SlotStatus,
     build_inter_rep,
@@ -27,32 +26,11 @@ from lexsel import (
     constraint_satisfaction,
     disambiguate,
     inexact_match,
-    load_corpus,
-    resolve_mention,
-    to_argument_structure,
     translate,
     word_sim_breakdown,
 )
-from lexsel.bundled import (
-    CORPUS_FILE,
-    COUNTS_FILE,
-    bundled_text,
-    load_bundled_lexicon,
-    load_bundled_store,
-    load_bundled_tree,
-)
+from lexsel.bundled import load_bundled_store
 from lexsel.matcher import _score
-from test_taxonomy import bundled_clauses
-
-
-@pytest.fixture(scope="module")
-def store():
-    return load_bundled_store()
-
-
-@pytest.fixture(scope="module")
-def lexicon(store):
-    return load_bundled_lexicon(store)
 
 
 def slot(domain: str, concept: str, status=SlotStatus.OBL) -> ProjectionSlot:
@@ -63,15 +41,6 @@ def slot(domain: str, concept: str, status=SlotStatus.OBL) -> ProjectionSlot:
 
 def proj(*slots: ProjectionSlot) -> dict[str, ProjectionSlot]:
     return {s.domain: s for s in slots}
-
-
-def args_for(store, lexeme="break", markers=(), **mentions) -> ArgumentStructure:
-    bindings = {
-        Role[r.upper()]: resolve_mention(store, "entity", m) for r, m in mentions.items()
-    }
-    return ArgumentStructure(
-        source_lexeme=lexeme, bindings=bindings, context_markers=frozenset(markers)
-    )
 
 
 UNIFORM = DomainWeights()
@@ -396,11 +365,9 @@ class TestArithmeticOracle:
     @pytest.fixture(scope="class")
     def meanings(self, store, lexicon):
         out = []
-        for name in (CORPUS_FILE, COUNTS_FILE):
-            for i, record in enumerate(load_corpus(bundled_text(name)).records):
-                args = to_argument_structure(record, store, lexicon.nominal_domain)
-                sense = disambiguate(lexicon, args, store)
-                out.append((build_inter_rep(sense, args, f"s{i}"), args))
+        for i, args in enumerate(bundled_clauses(store, lexicon)):
+            sense = disambiguate(lexicon, args, store)
+            out.append((build_inter_rep(sense, args, f"s{i}"), args))
         return out
 
     @settings(max_examples=150, deadline=None)
@@ -448,8 +415,7 @@ class TestSharedScoreValues:
     """Counts, not timings: a warm pass over the bundled clauses makes no ``Fraction``."""
 
     @pytest.fixture(scope="class")
-    def run_bundled(self, store, lexicon):
-        tree = load_bundled_tree(store, lexicon.nominal_domain)
+    def run_bundled(self, store, lexicon, tree):
         clauses = bundled_clauses(store, lexicon)
         config = SelectionConfig()  # one weights object, so its shares are read once
         assert len(clauses) == 162

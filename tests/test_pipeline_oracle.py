@@ -28,19 +28,11 @@ from lexsel import (
     to_argument_structure,
     translate,
 )
-from lexsel.bundled import (
-    CORPUS_FILE,
-    COUNTS_FILE,
-    TREE_FILE,
-    bundled_text,
-    load_bundled_lexicon,
-    load_bundled_store,
-    load_bundled_tree,
-)
+from lexsel.bundled import TREE_FILE, bundled_text
 from lexsel.matcher import DomainWeights
+from conftest import bundled_clauses, load_lexbench
 from dag_oracle import as_taxonomy_doc, random_rooted_dag
 from pipeline_oracle import GAP, PipelineOracle, engine_outcome
-from test_lexbench_spans import load_lexbench
 
 FLOORS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(4, 5), Fraction(1))
 SIZES = (1, 3, 10)
@@ -72,15 +64,8 @@ def oracle(reference, args, config, weights_text="{}", use_tree=True):
 
 
 @pytest.fixture(scope="module")
-def bundled():
-    store = load_bundled_store()
-    lexicon = load_bundled_lexicon(store)
-    tree = load_bundled_tree(store, lexicon.nominal_domain)
-    clauses = [
-        to_argument_structure(record, store, lexicon.nominal_domain)
-        for name in (CORPUS_FILE, COUNTS_FILE)
-        for record in load_corpus(bundled_text(name)).records
-    ]
+def bundled(store, lexicon, tree):
+    clauses = bundled_clauses(store, lexicon)
     reference = PipelineOracle(store, lexicon, json.loads(bundled_text(TREE_FILE)))
     return store, lexicon, tree, clauses, reference
 

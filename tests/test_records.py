@@ -7,15 +7,14 @@ also carry plain attributes outside the tuple, which take no part in equality.
 
 import pytest
 
+from conftest import args_for
 from lexsel import (
-    ArgumentStructure,
     DomainTaxonomy,
     LexselError,
     Role,
     SelectionConfig,
     evaluate_corpus,
     load_corpus,
-    resolve_mention,
     translate,
 )
 from lexsel.bundled import (
@@ -43,18 +42,9 @@ UNHASHABLE = frozenset(
 )
 
 
-def stick_clause(store) -> ArgumentStructure:
-    return ArgumentStructure(
-        source_lexeme="break",
-        bindings={
-            Role.E0: resolve_mention(store, "entity", "john-1"),
-            Role.E1: resolve_mention(store, "entity", "stick-1"),
-        },
-    )
-
-
 def translate_stick(store, lexicon, tree):
-    return translate(lexicon, store, stick_clause(store), SelectionConfig(), tree)
+    args = args_for(store, e0="john-1", e1="stick-1")
+    return translate(lexicon, store, args, SelectionConfig(), tree)
 
 
 def bundled_records() -> dict:
@@ -76,8 +66,8 @@ def bundled_records() -> dict:
         sense.constraints[0],
         next(iter(sense.projection.values())),
         sense,
-        resolve_mention(store, "entity", "stick-1"),
-        stick_clause(store),
+        args_for(store, e1="stick-1").bindings[Role.E1],
+        args_for(store, e0="john-1", e1="stick-1"),
         lexicon,
         result.inter_rep,
         top.score.domains[0],

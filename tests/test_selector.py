@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import args_for, bundled_clauses
 from lexsel import (
     ArgumentStructure,
     ConceptId,
@@ -15,7 +16,6 @@ from lexsel import (
     DecisionTreeFormatError,
     LexselError,
     MatchScore,
-    Role,
     SelectionConfig,
     VocabularyGapError,
     build_inter_rep,
@@ -23,51 +23,15 @@ from lexsel import (
     constraint_degrees,
     decide_action,
     disambiguate,
-    load_corpus,
     load_decision_tree,
     load_lexicon,
     load_taxonomy,
     rank_candidates,
     rerank_by_action,
-    resolve_mention,
-    to_argument_structure,
     translate,
     word_sim_breakdown,
 )
-from lexsel.bundled import (
-    CORPUS_FILE,
-    COUNTS_FILE,
-    bundled_text,
-    load_bundled_lexicon,
-    load_bundled_store,
-    load_bundled_tree,
-    LEXICON_FILE,
-    TREE_FILE,
-)
-
-
-@pytest.fixture(scope="module")
-def store():
-    return load_bundled_store()
-
-
-@pytest.fixture(scope="module")
-def lexicon(store):
-    return load_bundled_lexicon(store)
-
-
-@pytest.fixture(scope="module")
-def tree(store, lexicon):
-    return load_bundled_tree(store, lexicon.nominal_domain)
-
-
-def args_for(store, lexeme="break", markers=(), **mentions) -> ArgumentStructure:
-    bindings = {
-        Role[r.upper()]: resolve_mention(store, "entity", m) for r, m in mentions.items()
-    }
-    return ArgumentStructure(
-        source_lexeme=lexeme, bindings=bindings, context_markers=frozenset(markers)
-    )
+from lexsel.bundled import LEXICON_FILE, TREE_FILE, bundled_text
 
 
 def action(name: str) -> ConceptId:
@@ -320,29 +284,23 @@ class TestScoreRecord:
     def test_every_candidate_keeps_the_parts_it_was_scored_from(self, lexicon, store, tree):
         config = SelectionConfig()
         clauses = candidates = 0
-        for name in (CORPUS_FILE, COUNTS_FILE):
-            for record in load_corpus(bundled_text(name)).records:
-                args = to_argument_structure(record, store, lexicon.nominal_domain)
-                t = translate(lexicon, store, args, config, tree)
-                clauses += 1
-                for r in t.ranking:
-                    sense = lexicon.senses[r.sense_id]
-                    slots = candidate_slots(t.inter_rep, sense)
-                    _, domains = word_sim_breakdown(t.inter_rep.slots, slots, config.weights, store)
-                    assert r.score.domains == domains
-                    assert r.score.constraints == constraint_degrees(sense, args, store)
-                    candidates += 1
+        for args in bundled_clauses(store, lexicon):
+            t = translate(lexicon, store, args, config, tree)
+            clauses += 1
+            for r in t.ranking:
+                sense = lexicon.senses[r.sense_id]
+                slots = candidate_slots(t.inter_rep, sense)
+                _, domains = word_sim_breakdown(t.inter_rep.slots, slots, config.weights, store)
+                assert r.score.domains == domains
+                assert r.score.constraints == constraint_degrees(sense, args, store)
+                candidates += 1
         assert clauses == 162 and candidates > clauses
 
 
 class TestRankingOrder:
     @pytest.fixture(scope="class")
     def clauses(self, store, lexicon):
-        return [
-            to_argument_structure(record, store, lexicon.nominal_domain)
-            for name in (CORPUS_FILE, COUNTS_FILE)
-            for record in load_corpus(bundled_text(name)).records
-        ]
+        return bundled_clauses(store, lexicon)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

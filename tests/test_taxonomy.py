@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bundled_clauses
 from dag_oracle import (
     as_taxonomy_doc,
     oracle_con_sim,
@@ -35,21 +36,12 @@ from lexsel import (
     con_sim,
     constraint_degrees,
     least_common_superconcept,
-    load_corpus,
     load_taxonomy,
     merge_stores,
     neighborhood,
-    to_argument_structure,
     translate,
 )
-from lexsel.bundled import (
-    CORPUS_FILE,
-    COUNTS_FILE,
-    bundled_text,
-    load_bundled_lexicon,
-    load_bundled_store,
-    load_bundled_tree,
-)
+from lexsel.bundled import load_bundled_lexicon, load_bundled_store, load_bundled_tree
 from lexsel.taxonomy import DomainTaxonomy, _similarity
 
 
@@ -745,7 +737,7 @@ class TestKernelErrors:
     IDS = ["con_sim", "least_common_superconcept", "is_a", "constraint_degrees"]
 
     @pytest.fixture(scope="class")
-    def store(self):
+    def two_domains(self):
         return merge_stores([store_from(SMALL, "one"), store_from(SMALL, "two")])
 
     @pytest.mark.parametrize("call", [call for call, _ in CALLS], ids=IDS)
@@ -758,16 +750,16 @@ class TestKernelErrors:
             ("three:B", "three:B", "unknown domain 'three'"),
         ],
     )
-    def test_unknown_name_or_domain(self, store, call, left, right, message):
+    def test_unknown_name_or_domain(self, two_domains, call, left, right, message):
         with pytest.raises(UnknownConceptError) as err:
-            call(store, ConceptId(*left.split(":")), ConceptId(*right.split(":")))
+            call(two_domains, ConceptId(*left.split(":")), ConceptId(*right.split(":")))
         assert str(err.value) == message
 
     @pytest.mark.parametrize("call, verb", CALLS, ids=IDS)
-    def test_cross_domain_pair(self, store, call, verb):
+    def test_cross_domain_pair(self, two_domains, call, verb):
         a, b = ConceptId("one", "B"), ConceptId("two", "nope")
         with pytest.raises(CrossDomainError) as err:
-            call(store, a, b)
+            call(two_domains, a, b)
         assert str(err.value) == f"cannot {verb.format(a, b)}: different domains"
 
 
@@ -797,11 +789,7 @@ class TestSharedSimilarityValues:
         store = load_bundled_store()
         lexicon = load_bundled_lexicon(store)
         tree = load_bundled_tree(store, lexicon.nominal_domain)
-        clauses = [
-            to_argument_structure(record, store, lexicon.nominal_domain)
-            for name in (CORPUS_FILE, COUNTS_FILE)
-            for record in load_corpus(bundled_text(name)).records
-        ]
+        clauses = bundled_clauses(store, lexicon)
         _similarity.cache_clear()
         sizes = []
         for _ in range(2):
@@ -811,14 +799,6 @@ class TestSharedSimilarityValues:
         deepest = max(max(dom.depth.values()) for dom in store.domains.values())
         assert len(clauses) == 162
         assert 0 < sizes[0] == sizes[1] <= deepest**2
-
-
-def bundled_clauses(store, lexicon):
-    return [
-        to_argument_structure(record, store, lexicon.nominal_domain)
-        for name in (CORPUS_FILE, COUNTS_FILE)
-        for record in load_corpus(bundled_text(name)).records
-    ]
 
 
 def memo_sizes(store) -> list[tuple[int, int]]:
