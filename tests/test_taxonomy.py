@@ -45,7 +45,7 @@ from lexsel.bundled import load_bundled_lexicon, load_bundled_store, load_bundle
 from lexsel.taxonomy import DomainTaxonomy, _similarity
 
 
-def store_from(parents: dict[str, tuple[str, ...]], domain: str = "synthetic"):
+def dag_store(parents: dict[str, tuple[str, ...]], domain: str = "synthetic"):
     return load_taxonomy(json.dumps(as_taxonomy_doc(parents, domain)))
 
 
@@ -63,29 +63,29 @@ def as_node_records(parents: dict[str, tuple[str, ...]]) -> dict[str, ConceptNod
 
 class TestConceptSimilarityFixtures:
     def test_siblings(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         assert con_sim(store, small_id("B"), small_id("C")) == Fraction(2, 3)
 
     def test_root_to_grandchild(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         assert con_sim(store, small_id("root"), small_id("B")) == Fraction(1, 2)
 
     def test_parent_child(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         assert con_sim(store, small_id("B"), small_id("A")) == Fraction(4, 5)
 
     def test_identity(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         assert con_sim(store, small_id("B"), small_id("B")) == 1
 
     def test_symmetry(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         assert con_sim(store, small_id("root"), small_id("C")) == con_sim(
             store, small_id("C"), small_id("root")
         )
 
     def test_cross_domain_rejected(self):
-        store = merge_stores([store_from(SMALL, "one"), store_from(SMALL, "two")])
+        store = merge_stores([dag_store(SMALL, "one"), dag_store(SMALL, "two")])
         with pytest.raises(CrossDomainError):
             con_sim(store, ConceptId("one", "B"), ConceptId("two", "B"))
 
@@ -105,19 +105,19 @@ class TestConceptSimilarityFixtures:
 
 class TestPathMetrics:
     def test_lcs_of_siblings(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         m = least_common_superconcept(store, small_id("B"), small_id("C"))
         assert (m.lcs.name, m.n1, m.n2, m.n3) == ("A", 1, 1, 2)
 
     def test_lcs_with_self_as_ancestor(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         m = least_common_superconcept(store, small_id("A"), small_id("B"))
         assert (m.lcs.name, m.n1, m.n2, m.n3) == ("A", 0, 1, 2)
 
     def test_diamond_depth_uses_longest_path(self):
         # root -> A -> C and root -> C: depth(C) must be 3, not 2
         diamond = {"root": (), "A": ("root",), "C": ("A", "root")}
-        store = store_from(diamond)
+        store = dag_store(diamond)
         m = least_common_superconcept(store, small_id("C"), small_id("C"))
         assert m.n3 == 3
 
@@ -130,7 +130,7 @@ class TestPathMetrics:
             "X": ("B", "C"),
             "Y": ("B", "C"),
         }
-        store = store_from(parents)
+        store = dag_store(parents)
         m = least_common_superconcept(store, small_id("X"), small_id("Y"))
         assert m.lcs.name == "B"  # same depth and path sum; smaller name wins
 
@@ -138,7 +138,7 @@ class TestPathMetrics:
 class TestBuild:
     def test_diamond_up_distances(self):
         parents = {"root": (), "A": ("root",), "B": ("root",), "C": ("A", "B")}
-        dom = store_from(parents).domain("synthetic")
+        dom = dag_store(parents).domain("synthetic")
         assert dom.ancestors("C") == {"C": 0, "A": 1, "B": 1, "root": 2}
         assert dom.depth == {"root": 1, "A": 2, "B": 2, "C": 3}
 
@@ -150,7 +150,7 @@ class TestBuild:
             parents[f"c{i}"] = (f"c{i - 1}",)
         if child_first:
             parents = dict(reversed(parents.items()))
-        dom = store_from(parents).domain("synthetic")
+        dom = dag_store(parents).domain("synthetic")
         leaf = f"c{length - 1}"
         assert dom.depth[leaf] == length
         assert dom.ancestors(leaf) == {f"c{i}": length - 1 - i for i in range(length)}
@@ -161,7 +161,7 @@ class TestBuild:
         parents = {"c0": ()}
         for i in range(1, length):
             parents[f"c{i}"] = (f"c{i - 1}",)
-        store = store_from(parents)
+        store = dag_store(parents)
         leaf, root = small_id(f"c{length - 1}"), small_id("c0")
         assert con_sim(store, leaf, root) == Fraction(2, length + 1)  # n1 = length - 1, n3 = 1
         assert store.is_a(leaf, root)
@@ -174,7 +174,7 @@ class TestBuild:
         for i in range(1, length):
             parents[f"c{i}"] = (f"c{i - 1}",)
         parents["twig"] = (f"c{length - 2}",)
-        store = store_from(parents)
+        store = dag_store(parents)
         leaf, root, twig = small_id(f"c{length - 1}"), small_id("c0"), small_id("twig")
         assert con_sim(store, root, leaf) == con_sim(store, leaf, root) == Fraction(2, length + 1)
         got = least_common_superconcept(store, leaf, twig)
@@ -186,7 +186,7 @@ class TestBuild:
         ]
 
     def test_ancestor_maps_fill_on_first_call(self):
-        dom = store_from(SMALL).domain("synthetic")
+        dom = dag_store(SMALL).domain("synthetic")
         assert len(dom._up) == 0
         first = dom.ancestors("C")
         assert first == {"C": 0, "A": 1, "root": 2}
@@ -194,7 +194,7 @@ class TestBuild:
         assert list(dom._up) == ["C"]
 
     def test_unknown_name_raises_and_stores_nothing(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         dom = store.domain("synthetic")
         for _ in range(2):
             with pytest.raises(UnknownConceptError) as err:
@@ -265,22 +265,22 @@ class TestBuild:
             order = list(parents)
             random.Random(seed).shuffle(order)
             with pytest.raises(TaxonomyFormatError, match="cycle through concept"):
-                store_from({name: parents[name] for name in order})
+                dag_store({name: parents[name] for name in order})
 
     @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\x1c", "\t"])
     def test_rejects_whitespace_in_concept_id(self, space):
         with pytest.raises(TaxonomyFormatError, match="whitespace"):
-            store_from({"root": (), f"a{space}b": ("root",)})
+            dag_store({"root": (), f"a{space}b": ("root",)})
 
 
 class TestNeighborhood:
     def test_floor_excludes_distant_concepts(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         got = neighborhood(store, small_id("B"), max_size=10, floor=Fraction(7, 10))
         assert got == [(small_id("A"), Fraction(4, 5))]
 
     def test_orders_by_similarity_then_name(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         got = neighborhood(store, small_id("B"), max_size=10, floor=0)
         assert got == [
             (small_id("A"), Fraction(4, 5)),
@@ -289,7 +289,7 @@ class TestNeighborhood:
         ]
 
     def test_truncates_to_max_size(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         got = neighborhood(store, small_id("B"), max_size=1, floor=0)
         assert got == [(small_id("A"), Fraction(4, 5))]
 
@@ -319,7 +319,7 @@ class TestNeighborhood:
             "root": (), "z": ("root",), "p": ("root",), "q": ("p",),
             "r": ("q",), "c": ("r", "z"), deep: ("r",),
         }
-        got = neighborhood(store_from(parents), small_id("c"), max_size=10, floor=0)
+        got = neighborhood(dag_store(parents), small_id("c"), max_size=10, floor=0)
         assert got == [
             (small_id(name), sim)
             for name, sim in oracle_neighborhood(parents, "c", 10, Fraction(0))
@@ -331,7 +331,7 @@ class TestNeighborhood:
 
     def test_rejects_bad_parameters(self):
         # each bad key equals the stored (B, 1, 1) one, so only the check before the memo stops it
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         assert neighborhood(store, small_id("B"), max_size=1, floor=1) == []
         for max_size, floor, problem in [
             (1, 1.0, "floor must be an int or a Fraction, got 1.0"),
@@ -365,7 +365,7 @@ class TestNeighborhood:
         ],
     )
     def test_bad_limits_read_the_same_as_the_config(self, floor, size, problem):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         for size_name, call in (
             ("max_candidates", lambda: SelectionConfig(floor=floor, max_candidates=size)),
             ("max_size", lambda: neighborhood(store, small_id("B"), max_size=size, floor=floor)),
@@ -400,7 +400,7 @@ class TestIntegerOrder:
     @pytest.mark.parametrize("size", [1, 3, 10])
     def test_tie_group_at_the_cut_takes_the_smallest_names(self, size):
         parents, leaves = self.star()
-        store = store_from(parents)
+        store = dag_store(parents)
         got = neighborhood(store, small_id("hub"), size, Fraction(0))
         assert got == [(small_id(name), Fraction(4, 5)) for name in leaves[:size]]
         centre, siblings = leaves[0], leaves[1:]  # the smallest name is left out
@@ -411,7 +411,7 @@ class TestIntegerOrder:
 
     def test_floor_at_a_tie_group_keeps_it_and_just_above_drops_it(self):
         parents, leaves = self.star()
-        store = store_from(parents)
+        store = dag_store(parents)
         hub, leaf = small_id("hub"), small_id(leaves[0])
         tiny = Fraction(1, 10**12)
         assert neighborhood(store, hub, 10, Fraction(4, 5)) == [
@@ -435,7 +435,7 @@ class TestIntegerOrder:
             (star, ["root", "hub", leaves[0], leaves[-1]]),
             (dag, list(dag)[:12]),
         ):
-            as_int, as_fraction = store_from(parents), store_from(parents)
+            as_int, as_fraction = dag_store(parents), dag_store(parents)
             for name in centres:
                 for size in (1, 3, 10, len(parents)):
                     got = neighborhood(as_int, small_id(name), size, floor)
@@ -446,7 +446,7 @@ class TestIntegerOrder:
         # from c{a - 1} (depth a) to c{b - 1}: LCS depth m = min(a, b), |a - b| edges,
         # so up to 15,000 edges, far past a bound fitted to small domains
         length, a = 20_000, 5_000
-        store = store_from(chain(length))
+        store = dag_store(chain(length))
         want = {
             f"c{b - 1}": Fraction(2 * min(a, b), abs(a - b) + 2 * min(a, b))
             for b in range(1, length + 1)
@@ -478,19 +478,19 @@ class TestLoaderValidation:
 
     def test_rejects_missing_root(self):
         with pytest.raises(TaxonomyFormatError, match="no root"):
-            store_from({"A": ("B",), "B": ("A",)} | {})
+            dag_store({"A": ("B",), "B": ("A",)} | {})
 
     def test_rejects_two_roots(self):
         with pytest.raises(TaxonomyFormatError, match="multiple root"):
-            store_from({"A": (), "B": ()})
+            dag_store({"A": (), "B": ()})
 
     def test_rejects_dangling_parent(self):
         with pytest.raises(TaxonomyFormatError, match="missing parent"):
-            store_from({"A": (), "B": ("ghost",)})
+            dag_store({"A": (), "B": ("ghost",)})
 
     def test_rejects_cycle(self):
         with pytest.raises(TaxonomyFormatError, match="cycle"):
-            store_from({"root": (), "A": ("root", "B"), "B": ("A",)})
+            dag_store({"root": (), "A": ("root", "B"), "B": ("A",)})
 
     def test_rejects_duplicate_concept(self):
         doc = {
@@ -527,44 +527,44 @@ class TestLoaderValidation:
 
     def test_merge_rejects_duplicate_domain(self):
         with pytest.raises(TaxonomyFormatError, match="more than one document"):
-            merge_stores([store_from(SMALL, "d"), store_from(SMALL, "d")])
+            merge_stores([dag_store(SMALL, "d"), dag_store(SMALL, "d")])
 
 
 class TestResolve:
     def test_qualified_name(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         assert store.resolve("synthetic:B") == small_id("B")
 
     def test_unique_bare_name(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         assert store.resolve("B") == small_id("B")
 
     def test_ambiguous_bare_name(self):
-        store = merge_stores([store_from(SMALL, "one"), store_from(SMALL, "two")])
+        store = merge_stores([dag_store(SMALL, "one"), dag_store(SMALL, "two")])
         with pytest.raises(UnknownConceptError, match="ambiguous"):
             store.resolve("B")
 
     def test_unknown_name(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         with pytest.raises(UnknownConceptError):
             store.resolve("nothing")
 
 
 class TestIsA:
     def test_reflexive_and_transitive(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         assert store.is_a(small_id("B"), small_id("B"))
         assert store.is_a(small_id("B"), small_id("root"))
         assert not store.is_a(small_id("root"), small_id("B"))
         assert not store.is_a(small_id("B"), small_id("C"))
 
     def test_cross_domain_rejected(self):
-        store = merge_stores([store_from(SMALL, "one"), store_from(SMALL, "two")])
+        store = merge_stores([dag_store(SMALL, "one"), dag_store(SMALL, "two")])
         with pytest.raises(CrossDomainError):
             store.is_a(ConceptId("one", "B"), ConceptId("two", "B"))
 
     def test_unknown_concept(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         with pytest.raises(UnknownConceptError):
             store.is_a(small_id("missing"), small_id("root"))
 
@@ -572,7 +572,7 @@ class TestIsA:
 def check_against_oracle(seed: int, pairs: int = 10) -> None:
     rng = random.Random(seed)
     parents = random_rooted_dag(rng)
-    store = store_from(parents)
+    store = dag_store(parents)
     names = sorted(parents)
     for _ in range(pairs):
         a, b = rng.choice(names), rng.choice(names)
@@ -603,7 +603,7 @@ def check_every_pair_against_oracle(seed: int, passes: int = 1):
     parents = random_rooted_dag(rng, max_nodes=24)
     order = list(parents)
     rng.shuffle(order)
-    store = store_from({name: parents[name] for name in order})
+    store = dag_store({name: parents[name] for name in order})
     names = sorted(parents)
     for a in names * passes:
         above = oracle_up_distances(parents, a)
@@ -626,7 +626,7 @@ def check_indices_against_oracle(seed: int) -> None:
     parents = random_rooted_dag(rng)
     order = list(parents)
     rng.shuffle(order)
-    dom = store_from({name: parents[name] for name in order}).domain("synthetic")
+    dom = dag_store({name: parents[name] for name in order}).domain("synthetic")
     position = {name: i for i, name in enumerate(dom.depth)}  # lists parents first
     for name in parents:
         assert dom.depth[name] == oracle_depth(parents, name), f"seed={seed} node={name}"
@@ -643,7 +643,7 @@ def check_neighborhood_against_oracle(seed: int, passes: int = 1):
     parents = random_rooted_dag(rng, max_nodes=24)
     order = list(parents)
     rng.shuffle(order)
-    store = store_from({name: parents[name] for name in order})
+    store = dag_store({name: parents[name] for name in order})
     floors = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(4, 5), Fraction(1))
     # Results are compared as (name, numerator, denominator) triples: a Fraction is
     # kept in lowest terms, so two triples are equal exactly when the pairs are.
@@ -699,7 +699,7 @@ class TestProperties:
     def test_similarity_range_identity_symmetry(self, seed):
         rng = random.Random(seed)
         parents = random_rooted_dag(rng, max_nodes=24)
-        store = store_from(parents)
+        store = dag_store(parents)
         names = sorted(parents)
         a, b = rng.choice(names), rng.choice(names)
         sim = con_sim(store, small_id(a), small_id(b))
@@ -714,7 +714,7 @@ class TestProperties:
         parents = {"c0": ()}
         for i in range(1, length):
             parents[f"c{i}"] = (f"c{i - 1}",)
-        store = store_from(parents)
+        store = dag_store(parents)
         sims = [
             con_sim(store, small_id("c0"), small_id(f"c{i}")) for i in range(length)
         ]
@@ -738,7 +738,7 @@ class TestKernelErrors:
 
     @pytest.fixture(scope="class")
     def two_domains(self):
-        return merge_stores([store_from(SMALL, "one"), store_from(SMALL, "two")])
+        return merge_stores([dag_store(SMALL, "one"), dag_store(SMALL, "two")])
 
     @pytest.mark.parametrize("call", [call for call, _ in CALLS], ids=IDS)
     @pytest.mark.parametrize(
@@ -809,7 +809,7 @@ class TestMemos:
     """Each domain's LCS and widening memos answer exactly what a walk would."""
 
     def test_caller_cannot_change_a_kept_neighborhood(self):
-        store = store_from(SMALL)
+        store = dag_store(SMALL)
         first = neighborhood(store, small_id("B"), 10, 0)
         want = list(first)
         first.append((small_id("junk"), Fraction(1)))
@@ -819,7 +819,7 @@ class TestMemos:
         assert neighborhood(store, small_id("B"), 10, 0) == want
 
     def test_errors_repeat_and_store_nothing(self):
-        store = merge_stores([store_from(SMALL, "one"), store_from(SMALL, "two")])
+        store = merge_stores([dag_store(SMALL, "one"), dag_store(SMALL, "two")])
         one, two = ConceptId("one", "B"), ConceptId("two", "B")
         nope = ConceptId("one", "nope")
         missing = "domain 'one' has no concept 'nope'"
