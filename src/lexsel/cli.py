@@ -228,14 +228,14 @@ def _explanation(result: Translation, lexicon: Lexicon) -> list[str]:
     for r in result.ranking:
         lines.append(f"candidate {lexicon.senses[r.sense_id].lexeme} [{r.sense_id}] via "
                      f"{r.via_concept.name} (neighborhood {_fmt(r.neighborhood_sim)})")
-        for part in r.score.domains:
+        for part in r.domains:
             left = "-" if part.left is None else part.left.name
             right = "-" if part.right is None else part.right.name
             lines.append(f"  domain {part.domain}: weight {part.weight}  "
                          f"sim {_fmt(part.similarity)}  [{left} vs {right}]")
-        if not r.score.constraints:
+        if not r.constraints:
             lines.append("  no constraints: constraint score 1")
-        for d in r.score.constraints:
+        for d in r.constraints:
             bound = "unbound" if d.bound_to is None else d.bound_to.name
             lines.append(f"  constraint (is-a {d.constraint.concept.name} "
                          f"{d.constraint.role}): {_fmt(d.degree)}  [{bound}]")

@@ -127,8 +127,12 @@ def resolve_clause(
     """
     bindings = {}
     for role, token in mentions:
-        if token.split() != [token]:  # empty, or whitespace as str.isspace has it
+        if not isinstance(token, str) or token.split() != [token]:  # or empty, or with whitespace
             raise LexiconFormatError(f"bad entity mention {token!r}")
+        if role in bindings:
+            raise LexiconFormatError(
+                f"role {role} has two mentions: {bindings[role].mention!r} and {token!r}"
+            )
         nodes = store.domain(nominal_domain).nodes
         name = _MENTION_SUFFIX.sub("", token)
         if name not in nodes:

@@ -193,24 +193,11 @@ def constraint_satisfaction(degrees: Sequence[ConstraintDegree]) -> Fraction:
     return _score(num, den * len(degrees))
 
 
-class MatchScore(
-    NamedTuple("MatchScore", [("concept_score", Fraction), ("constraint_score", Fraction)])
-):
-    """Lexicographic pair: concept similarity first, then constraint fit.
+class MatchScore(NamedTuple):
+    """Lexicographic pair: concept similarity first, then constraint fit."""
 
-    The tuple holds the two scores, which alone take part in equality,
-    hashing and ordering.  ``domains`` and ``constraints``, plain attributes,
-    are the parts the two scores were computed from.
-    """
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` goes through ``__new__``
-
-    def __new__(
-        cls, concept_score: Fraction, constraint_score: Fraction, domains=(), constraints=()
-    ) -> "MatchScore":
-        self = super().__new__(cls, concept_score, constraint_score)
-        self.domains, self.constraints = domains, constraints
-        return self
+    concept_score: Fraction
+    constraint_score: Fraction
 
 
 def candidate_slots(inter_rep: InterRep, candidate: VerbSense) -> dict[str, ProjectionSlot]:
@@ -235,8 +222,8 @@ def inexact_match(
     args: ArgumentStructure,
     weights: DomainWeights,
     store: TaxonomyStore,
-) -> MatchScore:
-    """Score a target sense against a clause meaning, keeping the parts.
+) -> tuple[MatchScore, tuple[DomainContribution, ...], tuple[ConstraintDegree, ...]]:
+    """Score a sense against a clause meaning: the score, its domains and its degrees.
 
     Pure: no store or lexicon state is touched.
     """
@@ -244,4 +231,4 @@ def inexact_match(
         inter_rep.slots, candidate_slots(inter_rep, candidate), weights, store
     )
     degrees = constraint_degrees(candidate, args, store)
-    return MatchScore(concept, constraint_satisfaction(degrees), domains, degrees)
+    return MatchScore(concept, constraint_satisfaction(degrees)), domains, degrees

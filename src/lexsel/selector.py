@@ -34,6 +34,8 @@ from .lexicon import (
 )
 from .matcher import (
     _FRESH,
+    ConstraintDegree,
+    DomainContribution,
     DomainWeights,
     MatchScore,
     constraint_degrees,
@@ -65,10 +67,14 @@ class SelectionConfig(
 
 
 class SelectionResult(NamedTuple):
+    """One ranked candidate: its score, how it was reached, and the parts of the score."""
+
     sense_id: str
     score: MatchScore
     via_concept: ConceptId
     neighborhood_sim: Fraction
+    domains: tuple[DomainContribution, ...]  # what each domain adds to the concept score
+    constraints: tuple[ConstraintDegree, ...]  # the degrees the constraint score averages
 
 
 class TreeBranch(NamedTuple):
@@ -214,8 +220,10 @@ def rank_candidates(
         )
     results = []
     for sense_id, (via, sim) in sorted(found.items()):  # sense ids are unique
-        score = inexact_match(inter_rep, lexicon.senses[sense_id], args, config.weights, store)
-        results.append(SelectionResult(sense_id, score, via, sim))
+        score, domains, degrees = inexact_match(
+            inter_rep, lexicon.senses[sense_id], args, config.weights, store
+        )
+        results.append(SelectionResult(sense_id, score, via, sim, domains, degrees))
     # scores descending, ties by sense id: a reversed sort keeps equal keys in input order
     results.sort(
         key=lambda r: (r.score.concept_score, r.score.constraint_score, r.neighborhood_sim),

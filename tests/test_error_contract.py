@@ -1,8 +1,9 @@
-"""The error contract: any input document gives a result or a LexselError.
+"""The error contract: any input document or clause gives a result or a LexselError.
 
 Arbitrary JSON values, and the bundled documents with one node replaced
 or deleted, go through every loader (and the corpus through
-``evaluate_corpus``); nothing but a ``LexselError`` may escape.
+``evaluate_corpus``); nothing but a ``LexselError`` may escape.  A clause a
+library caller builds with ``resolve_clause`` is held to the same rule.
 """
 
 import json
@@ -21,12 +22,14 @@ from lexsel import (
     LexiconFormatError,
     LexselError,
     MatcherError,
+    Role,
     TaxonomyFormatError,
     evaluate_corpus,
     load_corpus,
     load_decision_tree,
     load_lexicon,
     load_taxonomy,
+    resolve_clause,
 )
 from lexsel.bundled import (
     CORPUS_FILE,
@@ -183,3 +186,17 @@ class TestParseFraction:
             with pytest.raises(ValueError):
                 parse_fraction(value)
         assert time.perf_counter() - start < 1
+
+
+class TestClauseMentions:
+    @pytest.mark.parametrize("mention", [5, None, b"vase-1"])
+    def test_a_mention_that_is_not_a_str(self, store, mention):
+        with pytest.raises(LexiconFormatError) as err:
+            resolve_clause(store, "entity", "break", [(Role.E0, mention)])
+        assert str(err.value) == f"bad entity mention {mention!r}"
+
+    def test_a_role_given_twice(self, store):
+        mentions = [(Role.E1, "stick-1"), (Role.E0, "vase-1"), (Role.E0, "john-1")]
+        with pytest.raises(LexiconFormatError) as err:
+            resolve_clause(store, "entity", "break", mentions)
+        assert str(err.value) == "role E0 has two mentions: 'vase-1' and 'john-1'"

@@ -1,8 +1,9 @@
 """Record semantics that callers rely on: read-only fields, value equality and hashing.
 
 The records are ``NamedTuple``s.  Each case below is built from the bundled data,
-the way a caller meets it.  ``DomainTaxonomy``, ``DomainWeights`` and ``MatchScore``
-also carry plain attributes outside the tuple, which take no part in equality.
+the way a caller meets it.  ``DomainTaxonomy`` and ``DomainWeights`` also carry
+memos outside the tuple, which take no part in equality; no record carries any
+other state outside its fields.
 """
 
 import pytest
@@ -40,6 +41,7 @@ UNHASHABLE = frozenset(
         "SelectionConfig",
     }
 )
+MEMOS = frozenset({"_up", "_lcs", "_near", "_shares"})  # the only attributes outside a tuple
 
 
 def translate_stick(store, lexicon, tree):
@@ -70,8 +72,8 @@ def bundled_records() -> dict:
         args_for(store, e0="john-1", e1="stick-1"),
         lexicon,
         result.inter_rep,
-        top.score.domains[0],
-        top.score.constraints[0],
+        top.domains[0],
+        top.constraints[0],
         config.weights,
         top.score,
         top,
@@ -103,6 +105,11 @@ def test_fields_are_read_only(name):
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
+def test_no_state_outside_the_fields_but_memos(name):
+    assert set(getattr(RECORDS[name], "__dict__", {})) <= MEMOS
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
 def test_equal_values_compare_and_hash_equal(name):
     record = RECORDS[name]
     twin = type(record)(**record._asdict())
@@ -131,8 +138,6 @@ def test_a_twin_domain_starts_with_empty_memos():
 
 
 def test_replace_builds_through_the_constructor():
-    score = RECORDS["MatchScore"]
-    assert score._replace(constraint_score=0).domains == ()
     assert RECORDS["DomainWeights"]._replace()._shares == {}
     with pytest.raises(LexselError, match=r"floor must be within \[0, 1\], got 2"):
         RECORDS["SelectionConfig"]._replace(floor=2)

@@ -291,8 +291,8 @@ class TestScoreRecord:
                 sense = lexicon.senses[r.sense_id]
                 slots = candidate_slots(t.inter_rep, sense)
                 _, domains = word_sim_breakdown(t.inter_rep.slots, slots, config.weights, store)
-                assert r.score.domains == domains
-                assert r.score.constraints == constraint_degrees(sense, args, store)
+                assert r.domains == domains
+                assert r.constraints == constraint_degrees(sense, args, store)
                 candidates += 1
         assert clauses == 162 and candidates > clauses
 
@@ -319,7 +319,7 @@ class TestRankingOrder:
         inter_rep = build_inter_rep(disambiguate(lexicon, args, store), args, "s1")
 
         def fake(inter_rep, sense, args, weights, store):
-            return scores[sense.sense_id]
+            return scores[sense.sense_id], (), ()
 
         with mock.patch("lexsel.selector.inexact_match", fake):
             try:
