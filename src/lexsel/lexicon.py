@@ -123,10 +123,16 @@ def resolve_clause(
 
     A mention like ``branch-1`` names its nominal concept: a trailing
     ``-<digits>`` tags an instance and is stripped when the stripped base
-    names a concept; otherwise the mention itself must.
+    names a concept; otherwise the mention itself must.  A role is a
+    ``Role`` or its name, and ``markers`` a collection of strings.
     """
+    if not isinstance(source_lexeme, str):
+        raise LexiconFormatError(f"source lexeme must be a string, got {source_lexeme!r}")
     bindings = {}
-    for role, token in mentions:
+    for role_key, token in mentions:
+        role = _ROLES.get(role_key) if isinstance(role_key, str) else None
+        if role is None:
+            raise LexiconFormatError(f"bad role {role_key!r}")
         if not isinstance(token, str) or token.split() != [token]:  # or empty, or with whitespace
             raise LexiconFormatError(f"bad entity mention {token!r}")
         if role in bindings:
@@ -142,7 +148,18 @@ def resolve_clause(
                 )
             name = token
         bindings[role] = Binding(token, ConceptId(nominal_domain, name))
-    return ArgumentStructure(source_lexeme, bindings, frozenset(markers))
+    try:
+        if isinstance(markers, str):  # it would iterate its letters
+            raise TypeError
+        context = tuple(markers)
+    except TypeError:
+        raise LexiconFormatError(
+            f"context markers must be a collection of strings, got {markers!r}"
+        ) from None
+    for marker in context:
+        if not isinstance(marker, str):
+            raise LexiconFormatError(f"bad context marker {marker!r}")
+    return ArgumentStructure(source_lexeme, bindings, frozenset(context))
 
 
 class Lexicon(NamedTuple):

@@ -8,6 +8,13 @@ contributes zero, which penalizes candidates that cover a different set
 of domains than the clause meaning.  Weights are renormalized to sum to 1
 over that union, so scores stay in [0, 1].  Everything is computed with
 exact rationals so equality comparisons in ranking are exact.
+
+``inexact_match`` scores all of a clause's candidates in one call.
+Near-synonyms realize the same concepts, so candidates often give the
+same inputs: the concept score is worked out once per distinct tuple of
+matched slots, and the constraint score once per distinct constraint
+tuple, by the same ``word_sim_breakdown``, ``constraint_degrees`` and
+``constraint_satisfaction`` a single candidate goes through.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import MatcherError, parse_fraction, parse_json
 from .lexicon import (
@@ -30,6 +37,7 @@ from .lexicon import (
 from .taxonomy import ConceptId, TaxonomyStore, _degree, con_sim
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+_OBL, _OPT = SlotStatus.OBL, SlotStatus.OPT  # a module global reads faster than an enum member
 _FRESH = object()  # a default argument that stands for a new value on each call
 # a domain union's integer weight total, and each domain's integer weight and share
 _Shares = tuple[int, tuple[tuple[int, Fraction], ...]]
@@ -200,6 +208,18 @@ class MatchScore(NamedTuple):
     constraint_score: Fraction
 
 
+def _matched(
+    meaning: Mapping[str, ProjectionSlot], candidate: VerbSense
+) -> tuple[tuple[str, ProjectionSlot], ...]:
+    """``(domain, slot)`` items of the candidate slots, in projection order: the rule
+    ``candidate_slots`` states, as a hashable key for the slots a score reads."""
+    return tuple([
+        (domain, slot)
+        for domain, slot in candidate.projection.items()
+        if slot.status is _OBL or (slot.status is _OPT and domain in meaning)
+    ])
+
+
 def candidate_slots(inter_rep: InterRep, candidate: VerbSense) -> dict[str, ProjectionSlot]:
     """The candidate slots a clause meaning is matched against.
 
@@ -208,27 +228,38 @@ def candidate_slots(inter_rep: InterRep, candidate: VerbSense) -> dict[str, Proj
     about the fit.  IMP slots never enter the similarity; the implicit
     action component is consulted separately by the selection tree.
     """
-    return {
-        domain: slot
-        for domain, slot in candidate.projection.items()
-        if slot.status is SlotStatus.OBL
-        or (slot.status is SlotStatus.OPT and domain in inter_rep.slots)
-    }
+    return dict(_matched(inter_rep.slots, candidate))
 
 
 def inexact_match(
     inter_rep: InterRep,
-    candidate: VerbSense,
+    candidates: Iterable[VerbSense],
     args: ArgumentStructure,
     weights: DomainWeights,
     store: TaxonomyStore,
-) -> tuple[MatchScore, tuple[DomainContribution, ...], tuple[ConstraintDegree, ...]]:
-    """Score a sense against a clause meaning: the score, its domains and its degrees.
+) -> list[tuple[MatchScore, tuple[DomainContribution, ...], tuple[ConstraintDegree, ...]]]:
+    """Score each candidate sense against one clause meaning, in order.
 
-    Pure: no store or lexicon state is touched.
+    Each result is ``(MatchScore, domains, degrees)``.  The concept score
+    reads only a candidate's matched slots, and the constraint score only
+    its constraints, so each is computed once per distinct value among the
+    candidates; candidates with equal inputs share the score values and part
+    objects.  Pure: no store or lexicon state is touched.
     """
-    concept, domains = word_sim_breakdown(
-        inter_rep.slots, candidate_slots(inter_rep, candidate), weights, store
-    )
-    degrees = constraint_degrees(candidate, args, store)
-    return MatchScore(concept, constraint_satisfaction(degrees)), domains, degrees
+    meaning = inter_rep.slots
+    concepts: dict[tuple, tuple[Fraction, tuple[DomainContribution, ...]]] = {}
+    fits: dict[tuple, tuple[Fraction, tuple[ConstraintDegree, ...]]] = {}
+    scored = []
+    for candidate in candidates:
+        matched = _matched(meaning, candidate)
+        concept = concepts.get(matched)
+        if concept is None:
+            concept = concepts[matched] = word_sim_breakdown(
+                meaning, dict(matched), weights, store
+            )
+        fit = fits.get(candidate.constraints)
+        if fit is None:
+            degrees = constraint_degrees(candidate, args, store)
+            fit = fits[candidate.constraints] = constraint_satisfaction(degrees), degrees
+        scored.append((MatchScore(concept[0], fit[0]), concept[1], fit[1]))
+    return scored

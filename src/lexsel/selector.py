@@ -218,12 +218,14 @@ def rank_candidates(
         raise VocabularyGapError(
             f"no target realization within floor {config.floor} of: {concepts}"
         )
-    results = []
-    for sense_id, (via, sim) in sorted(found.items()):  # sense ids are unique
-        score, domains, degrees = inexact_match(
-            inter_rep, lexicon.senses[sense_id], args, config.weights, store
+    items = sorted(found.items())  # sense ids are unique
+    senses = [lexicon.senses[sense_id] for sense_id, _ in items]
+    results = [
+        SelectionResult(sense_id, score, via, sim, domains, degrees)
+        for (sense_id, (via, sim)), (score, domains, degrees) in zip(
+            items, inexact_match(inter_rep, senses, args, config.weights, store)
         )
-        results.append(SelectionResult(sense_id, score, via, sim, domains, degrees))
+    ]
     # scores descending, ties by sense id: a reversed sort keeps equal keys in input order
     results.sort(
         key=lambda r: (r.score.concept_score, r.score.constraint_score, r.neighborhood_sim),
@@ -270,6 +272,10 @@ def translate(
     sentence_id: str = "sentence-1",
 ) -> Translation:
     """Full pipeline for one clause; the top result is the translation."""
+    if not isinstance(config, SelectionConfig):
+        raise LexselError(f"config must be a SelectionConfig, got {config!r}")
+    if tree is not None and not isinstance(tree, (TreeBranch, ConceptId)):
+        raise LexselError(f"tree must be a TreeBranch, a ConceptId or None, got {tree!r}")
     sense = disambiguate(lexicon, args, store)
     inter_rep = build_inter_rep(sense, args, sentence_id)
     ranking = rank_candidates(lexicon, store, inter_rep, args, config)

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexsel import (
+    ConceptId,
     CorpusFormatError,
     DecisionTreeFormatError,
     DomainWeights,
@@ -23,6 +24,7 @@ from lexsel import (
     LexselError,
     MatcherError,
     Role,
+    SelectionConfig,
     TaxonomyFormatError,
     evaluate_corpus,
     load_corpus,
@@ -30,6 +32,7 @@ from lexsel import (
     load_lexicon,
     load_taxonomy,
     resolve_clause,
+    translate,
 )
 from lexsel.bundled import (
     CORPUS_FILE,
@@ -200,3 +203,93 @@ class TestClauseMentions:
         with pytest.raises(LexiconFormatError) as err:
             resolve_clause(store, "entity", "break", mentions)
         assert str(err.value) == "role E0 has two mentions: 'vase-1' and 'john-1'"
+
+    def test_a_role_name_maps_to_its_role(self, store):
+        args = resolve_clause(store, "entity", "break", [("E1", "stick-1")])
+        [(role, binding)] = args.bindings.items()
+        assert role is Role.E1 and binding.mention == "stick-1"
+
+    @pytest.mark.parametrize("role", ["E9", "e1", 1, None, ["E1"]])
+    def test_a_role_that_is_not_one(self, store, role):
+        with pytest.raises(LexiconFormatError) as err:
+            resolve_clause(store, "entity", "break", [(role, "stick-1")])
+        assert str(err.value) == f"bad role {role!r}"
+
+    @pytest.mark.parametrize("markers", ["hit", "", None, 5])
+    def test_markers_that_are_not_a_collection_of_strings(self, store, markers):
+        with pytest.raises(LexiconFormatError) as err:
+            resolve_clause(store, "entity", "break", [(Role.E1, "stick-1")], markers)
+        assert str(err.value) == (
+            f"context markers must be a collection of strings, got {markers!r}"
+        )
+
+    @pytest.mark.parametrize("marker", [5, None, b"hit", ["hit"]])
+    def test_a_marker_that_is_not_a_str(self, store, marker):
+        with pytest.raises(LexiconFormatError) as err:
+            resolve_clause(store, "entity", "break", [(Role.E1, "stick-1")], ["hit", marker])
+        assert str(err.value) == f"bad context marker {marker!r}"
+
+    @pytest.mark.parametrize("lexeme", [["break"], None, 5])
+    def test_a_source_lexeme_that_is_not_a_str(self, store, lexeme):
+        with pytest.raises(LexiconFormatError) as err:
+            resolve_clause(store, "entity", lexeme, [(Role.E1, "stick-1")])
+        assert str(err.value) == f"source lexeme must be a string, got {lexeme!r}"
+
+
+class TestTranslateEntry:
+    """``translate`` names a config or tree of the wrong type, called directly or
+    through ``evaluate_corpus``, which locates the error at the first record."""
+
+    BAD = [
+        ({"config": None}, "config must be a SelectionConfig, got None"),
+        ({"config": {}}, "config must be a SelectionConfig, got {}"),
+        ({"tree": "x"}, "tree must be a TreeBranch, a ConceptId or None, got 'x'"),
+    ]
+
+    @pytest.mark.parametrize("bad, message", BAD)
+    def test_directly(self, store, lexicon, tree, bad, message):
+        args = resolve_clause(store, "entity", "break", [(Role.E1, "stick-1")])
+        given = {"config": SelectionConfig(), "tree": tree, **bad}
+        with pytest.raises(LexselError) as err:
+            translate(lexicon, store, args, **given)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("bad, message", BAD)
+    def test_through_evaluate_corpus(self, store, lexicon, tree, bad, message):
+        corpus = load_corpus(bundled_text(CORPUS_FILE))
+        first = corpus.records[0]
+        given = {"config": SelectionConfig(), "tree": tree, **bad}
+        with pytest.raises(LexselError) as err:
+            evaluate_corpus(corpus, lexicon, store, **given)
+        assert str(err.value) == f"line {first.line}: record {first.id!r}: {message}"
+
+
+# values a library caller might pass where a clause or translate argument goes
+CLAUSE_VALUES = st.one_of(
+    st.none(),
+    st.integers(-2, 2),
+    st.text(max_size=6),
+    st.binary(max_size=3),
+    st.lists(st.text(max_size=3), max_size=2),
+    st.sampled_from(["E0", "E1", "E2", "E9", Role.E1, "break", "hit", "stick-1", "john-1"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lexeme=CLAUSE_VALUES,
+    mentions=st.lists(st.tuples(CLAUSE_VALUES, CLAUSE_VALUES), max_size=3),
+    markers=st.one_of(CLAUSE_VALUES, st.lists(CLAUSE_VALUES, max_size=3)),
+    config=st.sampled_from([SelectionConfig(), None, {}, 0.5, "config"]),
+    node=st.sampled_from(["bundled", None, "x", ConceptId("action", "%hit-action"), ()]),
+)
+def test_any_clause_gives_a_result_or_a_lexsel_error(
+    store, lexicon, tree, lexeme, mentions, markers, config, node
+):
+    """``(role, mention)`` pairs of any values, with any lexeme, markers, config and tree."""
+    node = tree if node == "bundled" else node
+    try:
+        args = resolve_clause(store, "entity", lexeme, mentions, markers)
+        translate(lexicon, store, args, config, node)
+    except LexselError:
+        pass

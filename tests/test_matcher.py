@@ -5,6 +5,7 @@ import random
 import time
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,11 @@ from lexsel import (
     MatcherError,
     MatchScore,
     ProjectionSlot,
+    Role,
     SelectionConfig,
+    SelectionConstraint,
     SlotStatus,
+    VerbSense,
     build_inter_rep,
     candidate_slots,
     con_sim,
@@ -284,12 +288,100 @@ class TestMatchScore:
     def test_full_pipeline_example(self, lexicon, store):
         args = args_for(store, e1="branch-1")
         rep = build_inter_rep(lexicon.senses["BREAK-1"], args)
-        best, _, _ = inexact_match(rep, lexicon.senses["duan-la"], args, UNIFORM, store)
-        rival, _, degrees = inexact_match(rep, lexicon.senses["da-sui"], args, UNIFORM, store)
+        senses = [lexicon.senses["duan-la"], lexicon.senses["da-sui"]]
+        (best, _, _), (rival, _, degrees) = inexact_match(rep, senses, args, UNIFORM, store)
         assert best == MatchScore(Fraction(4, 5), Fraction(1))
         assert rival == MatchScore(Fraction(4, 5), Fraction(2, 3))
         assert rival.constraint_score == constraint_satisfaction(degrees)
         assert best > rival
+
+
+def target(sense_id: str, patient: str, *slots: ProjectionSlot) -> VerbSense:
+    """A target sense built by hand, constrained only on its patient."""
+    constraints = (SelectionConstraint(Role.E1, ConceptId("entity", patient)),)
+    return VerbSense(sense_id, sense_id, "target", "", constraints, proj(*slots))
+
+
+class TestBatchScoring:
+    """``inexact_match`` scores a clause's candidates together, sharing equal inputs."""
+
+    @pytest.fixture(scope="class")
+    def clause(self, lexicon, store):
+        args = args_for(store, e0="john-1", e1="branch-1")
+        rep = build_inter_rep(lexicon.senses["BREAK-1"], args)
+        assert list(rep.slots) == ["ch-of-state", "causation"]
+        duan = slot("ch-of-state", "%separate-in-duan-state")
+        cause = slot("causation", "%cause", SlotStatus.OPT)
+        hit = slot("action", "%hit-action", SlotStatus.OPT)
+        candidates = [
+            target("a", "line-segment-object", duan, cause),
+            # a's slots, other constraints
+            target("b", "brittle-object", duan, cause),
+            # a's constraints, another concept in one slot
+            target("c", "line-segment-object", slot("ch-of-state", "%change-of-integrity"), cause),
+            # a's constraints and domains, but the causation slot is not kept
+            target("d", "line-segment-object", duan, slot("causation", "%cause", SlotStatus.IMP)),
+            # b's constraints and a's kept slots; the clause realizes no action to match
+            target("e", "brittle-object", duan, cause, hit),
+        ]
+        return rep, args, candidates
+
+    def test_each_result_equals_the_candidate_scored_alone(self, clause, store):
+        rep, args, candidates = clause
+        batch = inexact_match(rep, candidates, args, UNIFORM, store)
+        assert len(batch) == len(candidates)
+        for candidate, (score, domains, degrees) in zip(candidates, batch):
+            concept, alone = word_sim_breakdown(
+                rep.slots, candidate_slots(rep, candidate), UNIFORM, store
+            )
+            assert (domains, degrees) == (alone, constraint_degrees(candidate, args, store))
+            assert score == MatchScore(concept, constraint_satisfaction(degrees))
+            assert inexact_match(rep, [candidate], args, UNIFORM, store) == [
+                (score, domains, degrees)
+            ]
+        # every candidate differs from a in what it was built to differ in
+        concepts = [score.concept_score for score, _, _ in batch]
+        fits = [score.constraint_score for score, _, _ in batch]
+        assert concepts[0] == concepts[1] == concepts[4] not in (concepts[2], concepts[3])
+        assert fits[0] == fits[2] == fits[3] != fits[1] == fits[4]
+
+    def test_equal_inputs_are_scored_once_and_share_their_parts(self, clause, store):
+        rep, args, candidates = clause
+        with mock.patch(
+            "lexsel.matcher.word_sim_breakdown", wraps=word_sim_breakdown
+        ) as concept, mock.patch(
+            "lexsel.matcher.constraint_degrees", wraps=constraint_degrees
+        ) as fit:
+            batch = inexact_match(rep, candidates, args, UNIFORM, store)
+        assert (concept.call_count, fit.call_count) == (3, 2)
+        a, b, c, d, e = batch
+        assert a[1] is b[1] is e[1] and a[2] is c[2] is d[2] and b[2] is e[2]
+
+    def test_no_candidates_score_nothing(self, clause, store):
+        rep, args, _ = clause
+        assert inexact_match(rep, [], args, UNIFORM, store) == []
+
+    def test_bundled_clauses_score_each_distinct_input_once(self, lexicon, store, tree):
+        """Over the 162 bundled clauses, one concept score per distinct matched-slot
+        tuple and one constraint score per distinct constraint tuple of a clause."""
+        config = SelectionConfig()
+        with mock.patch(
+            "lexsel.matcher.word_sim_breakdown", wraps=word_sim_breakdown
+        ) as concept, mock.patch(
+            "lexsel.matcher.constraint_degrees", wraps=constraint_degrees
+        ) as fit:
+            translations = [
+                translate(lexicon, store, args, config, tree)
+                for args in bundled_clauses(store, lexicon)
+            ]
+        slot_keys = constraint_keys = candidates = 0
+        for t in translations:
+            senses = [lexicon.senses[r.sense_id] for r in t.ranking]
+            candidates += len(senses)
+            slot_keys += len({tuple(candidate_slots(t.inter_rep, s).items()) for s in senses})
+            constraint_keys += len({s.constraints for s in senses})
+        assert (concept.call_count, fit.call_count) == (slot_keys, constraint_keys)
+        assert (len(translations), candidates, slot_keys, constraint_keys) == (162, 1104, 322, 789)
 
 
 class TestGradedDegradation:

@@ -318,8 +318,8 @@ class TestRankingOrder:
         args = data.draw(st.sampled_from(clauses))
         inter_rep = build_inter_rep(disambiguate(lexicon, args, store), args, "s1")
 
-        def fake(inter_rep, sense, args, weights, store):
-            return scores[sense.sense_id], (), ()
+        def fake(inter_rep, senses, args, weights, store):
+            return [(scores[sense.sense_id], (), ()) for sense in senses]
 
         with mock.patch("lexsel.selector.inexact_match", fake):
             try:
