@@ -44,7 +44,6 @@ from .matcher import (
     DomainContribution,
     DomainWeights,
     MatchScore,
-    candidate_slots,
     constraint_degrees,
     constraint_satisfaction,
     inexact_match,

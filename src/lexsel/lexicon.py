@@ -53,6 +53,9 @@ class SlotStatus(str, Enum):
         return self.value
 
 
+# a module global reads faster than an enum member
+_OBL, _OPT, _IMP = SlotStatus.OBL, SlotStatus.OPT, SlotStatus.IMP
+
 VARIABLE_PLACEHOLDERS = frozenset({"@t0", "@l0", "@l1", "@l2"})
 EVENT_TOKEN = "*"
 UNSPECIFIED_TOKEN = "@"
@@ -109,7 +112,21 @@ class InterRep(NamedTuple):
     slots: dict[str, ProjectionSlot]  # keyed by domain; every slot names a concept
 
     def obl_concepts(self) -> tuple[ConceptId, ...]:
-        return tuple(s.concept for s in self.slots.values() if s.status is SlotStatus.OBL)
+        return tuple(s.concept for s in self.slots.values() if s.status is _OBL)
+
+
+def _items(value: object, rule: str, size: int = 0) -> tuple:
+    """``value``'s items; a non-iterable, a bare ``str`` (it would give its letters) or,
+    when ``size`` is set, another count raises ``LexiconFormatError`` naming ``value``."""
+    items = None
+    if not isinstance(value, str):
+        try:
+            items = tuple(value)
+        except TypeError:
+            pass
+    if items is None or (size and len(items) != size):
+        raise LexiconFormatError(f"{rule}, got {value!r}")
+    return items
 
 
 def resolve_clause(
@@ -124,12 +141,14 @@ def resolve_clause(
     A mention like ``branch-1`` names its nominal concept: a trailing
     ``-<digits>`` tags an instance and is stripped when the stripped base
     names a concept; otherwise the mention itself must.  A role is a
-    ``Role`` or its name, and ``markers`` a collection of strings.
+    ``Role`` or its name, ``mentions`` a collection of pairs, and
+    ``markers`` a collection of strings.
     """
     if not isinstance(source_lexeme, str):
         raise LexiconFormatError(f"source lexeme must be a string, got {source_lexeme!r}")
     bindings = {}
-    for role_key, token in mentions:
+    for item in _items(mentions, "mentions must be a collection of (role, mention) pairs"):
+        role_key, token = _items(item, "mention must be a (role, mention) pair", 2)
         role = _ROLES.get(role_key) if isinstance(role_key, str) else None
         if role is None:
             raise LexiconFormatError(f"bad role {role_key!r}")
@@ -148,14 +167,7 @@ def resolve_clause(
                 )
             name = token
         bindings[role] = Binding(token, ConceptId(nominal_domain, name))
-    try:
-        if isinstance(markers, str):  # it would iterate its letters
-            raise TypeError
-        context = tuple(markers)
-    except TypeError:
-        raise LexiconFormatError(
-            f"context markers must be a collection of strings, got {markers!r}"
-        ) from None
+    context = _items(markers, "context markers must be a collection of strings")
     for marker in context:
         if not isinstance(marker, str):
             raise LexiconFormatError(f"bad context marker {marker!r}")
@@ -175,9 +187,6 @@ class Lexicon(NamedTuple):
             return self.source_by_lexeme[lexeme]
         except KeyError:
             raise UnknownLexemeError(f"unknown source lexeme {lexeme!r}") from None
-
-    def realization_ids(self, concept: ConceptId) -> tuple[str, ...]:
-        return self.realizations.get(concept, ())
 
 
 def _error(sense_id: Optional[str], message: str) -> LexiconFormatError:
@@ -213,7 +222,7 @@ def _parse_slot(raw: dict, store: TaxonomyStore, sense_id: str) -> ProjectionSlo
             raise _error(sense_id, f"domain {domain!r} has no concept {cname!r}")
         dom.ancestors(cname)  # filled now, so that no clause pays for the walk
         concept = ConceptId(domain, cname)
-    elif status is not SlotStatus.IMP:
+    elif status is not _IMP:
         raise _error(sense_id, f"{status.value} slot in domain {domain!r} must name a concept")
     args_raw = raw.get("args", [])
     if not isinstance(args_raw, list):
@@ -287,7 +296,7 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
             if slot.domain in projection:
                 raise _error(sense_id, f"more than one slot in domain {slot.domain!r}")
             projection[slot.domain] = slot
-            if slot.status is SlotStatus.OBL:
+            if slot.status is _OBL:
                 obl.append(slot.concept)  # an OBL slot always names a concept
         if not obl:
             raise _error(sense_id, "needs at least one OBL slot")
@@ -319,7 +328,7 @@ def _substitute(slot: ProjectionSlot, args: ArgumentStructure) -> Optional[tuple
         if tok in _ROLES:
             binding = args.bindings.get(_ROLES[tok])
             if binding is None:
-                if slot.status is SlotStatus.OBL:
+                if slot.status is _OBL:
                     raise UnboundRoleError(
                         f"slot {slot.render()} needs role {tok} but it is not bound"
                     )

@@ -27,17 +27,17 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import MatcherError, parse_fraction, parse_json
 from .lexicon import (
+    _OBL,
+    _OPT,
     ArgumentStructure,
     InterRep,
     ProjectionSlot,
     SelectionConstraint,
-    SlotStatus,
     VerbSense,
 )
 from .taxonomy import ConceptId, TaxonomyStore, _degree, con_sim
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
-_OBL, _OPT = SlotStatus.OBL, SlotStatus.OPT  # a module global reads faster than an enum member
 _FRESH = object()  # a default argument that stands for a new value on each call
 # a domain union's integer weight total, and each domain's integer weight and share
 _Shares = tuple[int, tuple[tuple[int, Fraction], ...]]
@@ -211,24 +211,19 @@ class MatchScore(NamedTuple):
 def _matched(
     meaning: Mapping[str, ProjectionSlot], candidate: VerbSense
 ) -> tuple[tuple[str, ProjectionSlot], ...]:
-    """``(domain, slot)`` items of the candidate slots, in projection order: the rule
-    ``candidate_slots`` states, as a hashable key for the slots a score reads."""
-    return tuple([
-        (domain, slot)
-        for domain, slot in candidate.projection.items()
-        if slot.status is _OBL or (slot.status is _OPT and domain in meaning)
-    ])
-
-
-def candidate_slots(inter_rep: InterRep, candidate: VerbSense) -> dict[str, ProjectionSlot]:
-    """The candidate slots a clause meaning is matched against.
+    """The candidate slots a clause meaning is matched against, as ``(domain, slot)``
+    items in projection order: a hashable key for the slots a score reads.
 
     All OBL slots count.  An OPT slot counts only when the clause meaning
     realizes that domain: an alternation that is not realized says nothing
     about the fit.  IMP slots never enter the similarity; the implicit
     action component is consulted separately by the selection tree.
     """
-    return dict(_matched(inter_rep.slots, candidate))
+    return tuple([
+        (domain, slot)
+        for domain, slot in candidate.projection.items()
+        if slot.status is _OBL or (slot.status is _OPT and domain in meaning)
+    ])
 
 
 def inexact_match(

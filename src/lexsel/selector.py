@@ -172,22 +172,18 @@ def _gather_candidates(
     keeping neighbors that have realizations.  A sense reachable several
     ways keeps its best similarity (ties: smallest via-concept name).
     """
+    realizations = lexicon.realizations
     found: dict[str, tuple[ConceptId, Fraction]] = {}
-
-    def offer(sense_id: str, via: ConceptId, sim: Fraction) -> None:
-        old = found.get(sense_id)
-        if old is None or sim > old[1] or (sim == old[1] and via.name < old[0].name):
-            found[sense_id] = (via, sim)
-
     for concept in inter_rep.obl_concepts():
-        exact = lexicon.realization_ids(concept)
-        if exact:
-            for sense_id in exact:
-                offer(sense_id, concept, _EXACT)
-            continue
-        for neighbor, sim in neighborhood(store, concept, config.max_candidates, config.floor):
-            for sense_id in lexicon.realization_ids(neighbor):
-                offer(sense_id, neighbor, sim)
+        if realizations.get(concept):
+            reached = [(concept, _EXACT)]
+        else:
+            reached = neighborhood(store, concept, config.max_candidates, config.floor)
+        for via, sim in reached:
+            for sense_id in realizations.get(via, ()):
+                old = found.get(sense_id)
+                if old is None or sim > old[1] or (sim == old[1] and via.name < old[0].name):
+                    found[sense_id] = (via, sim)
     return found
 
 

@@ -2,8 +2,9 @@
 
 The module-scoped ``store``, ``lexicon`` and ``tree`` fixtures load the
 bundled data once per test module, so each module has its own memos.
-``args_for`` builds a clause over the bundled ``entity`` domain and
-``bundled_clauses`` the 162 clauses of the bundled corpus files.
+``args_for`` builds a clause over the bundled ``entity`` domain,
+``bundled_clauses`` the 162 clauses of the bundled corpus files, and
+``matched_slots`` states which of a candidate's slots a score reads.
 ``child_env`` lets a test start ``python -m lexsel`` from a checkout
 where the package is not installed, and ``load_lexbench`` imports a
 benchmark module from ``lexbench/``.
@@ -20,7 +21,17 @@ from pathlib import Path
 
 import pytest
 
-from lexsel import ArgumentStructure, Role, load_corpus, resolve_clause, to_argument_structure
+from lexsel import (
+    ArgumentStructure,
+    InterRep,
+    ProjectionSlot,
+    Role,
+    SlotStatus,
+    VerbSense,
+    load_corpus,
+    resolve_clause,
+    to_argument_structure,
+)
 from lexsel.bundled import (
     CORPUS_FILE,
     COUNTS_FILE,
@@ -71,6 +82,17 @@ def args_for(store, lexeme="break", markers=(), **mentions) -> ArgumentStructure
     return resolve_clause(store, "entity", lexeme, pairs, markers)
 
 
+def matched_slots(inter_rep: InterRep, sense: VerbSense) -> dict[str, ProjectionSlot]:
+    """The slots a candidate sense is scored on, stated apart from the matcher:
+    every OBL slot, and an OPT slot whose domain the clause meaning realizes."""
+    return {
+        domain: slot
+        for domain, slot in sense.projection.items()
+        if slot.status == SlotStatus.OBL
+        or (slot.status == SlotStatus.OPT and domain in inter_rep.slots)
+    }
+
+
 def bundled_clauses(store, lexicon) -> list[ArgumentStructure]:
     """The clauses of the bundled gold corpus, then of the bundled counts file."""
     return [
@@ -90,6 +112,7 @@ ACCEPTANCE_CRITERIA = [
     "frequency-table-fixture",
     "cli-determinism",
     "paper-comparison",
+    "graded-word-similarity",
 ]
 
 _verdicts: dict[str, str] = {}

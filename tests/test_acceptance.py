@@ -12,15 +12,18 @@ import sys
 import time
 from fractions import Fraction
 
-from conftest import DATA, args_for, child_env, record_verdict
+from conftest import DATA, args_for, child_env, load_lexbench, record_verdict
 from dag_oracle import as_taxonomy_doc, oracle_con_sim, oracle_lcs, random_rooted_dag
 from lexsel import (
     ConceptId,
     SelectionConfig,
+    VocabularyGapError,
     con_sim,
     evaluate_corpus,
     least_common_superconcept,
     load_corpus,
+    load_decision_tree,
+    load_lexicon,
     load_taxonomy,
     matcher,
     rerank_by_action,
@@ -316,4 +319,100 @@ def test_paper_comparison(monkeypatch, lexicon, store, tree):
         "paper-comparison",
         ok,
         ", ".join(f"{name} {correct}/{total}" for name, (correct, _) in found.items()),
+    )
+
+
+# small stores of the benchmark's shape: 100 of the 400 clauses are widened
+SMALL_STORE = dict(
+    state_concepts=6000, noun_concepts=1000, source_lexemes=100, noise_realized=100, clauses=400
+)
+ALL = None  # every widened clause is lost, as a vocabulary gap
+GRADED_WORD_SIMILARITY = {  # data seed -> variant -> the widened clauses it loses
+    0: {
+        "shipped": ["c56", "c284", "c392"],
+        "binary-word-similarity": [
+            "c24", "c28", "c48", "c56", "c88", "c116", "c200",
+            "c224", "c268", "c272", "c284", "c320", "c372", "c392",
+        ],
+        "binary-restrictions": ["c56", "c284", "c392"],
+        "floor-1": ALL,
+        "no-tree": ["c56", "c284", "c392"],
+    },
+    1: {
+        "shipped": ["c28", "c112", "c120", "c132", "c152", "c196", "c308", "c328", "c384"],
+        "binary-word-similarity": [
+            "c28", "c36", "c88", "c108", "c112", "c120", "c132", "c140",
+            "c152", "c196", "c232", "c236", "c284", "c308", "c384", "c396",
+        ],
+        "binary-restrictions": [
+            "c28", "c112", "c120", "c132", "c152", "c196", "c308", "c328", "c384"
+        ],
+        "floor-1": ALL,
+        "no-tree": ["c28", "c112", "c120", "c132", "c152", "c196", "c308", "c328", "c384"],
+    },
+}
+
+
+def binary_con_sim(store, c1, c2) -> Fraction:
+    """Word similarity without grades: 1 for the same concept, else 0."""
+    return Fraction(c1 == c2)
+
+
+def test_graded_word_similarity(monkeypatch):
+    """The paper's comparison where the gold clauses cannot make it: on generated stores.
+
+    ``gen.generate`` builds each widened clause on a single-parent leaf whose
+    parent is realized, so a top pick counts as correct when it is reached
+    through that parent.  The label comes from how the generator builds its
+    clauses, not from human judgement.
+    """
+    gen = load_lexbench("gen")
+    found, every = {}, {}
+    for seed in GRADED_WORD_SIMILARITY:
+        docs = gen.generate(seed, **SMALL_STORE)
+        store = load_taxonomy(docs.taxonomy)
+        lexicon = load_lexicon(docs.lexicon, store)
+        tree = load_decision_tree(docs.tree, store, lexicon.nominal_domain)
+        records = load_corpus(docs.corpus).records
+        widened = [  # each with the one parent of the leaf it lands on
+            (record.id, to_argument_structure(record, store, lexicon.nominal_domain), parent)
+            for record, widen, target in zip(records, docs.widened, docs.targets)
+            if widen
+            for [parent] in [docs.state_parents[target]]
+        ]
+
+        def lost(config: SelectionConfig, tree) -> list[str]:
+            out = []
+            for clause_id, args, parent in widened:
+                try:
+                    via = translate(lexicon, store, args, config, tree).ranking[0].via_concept
+                except VocabularyGapError:
+                    via = None
+                if via is None or via.name != parent:
+                    out.append(clause_id)
+            return out
+
+        found[seed, "shipped"] = lost(SelectionConfig(), tree)
+        with monkeypatch.context() as patch:
+            patch.setattr(matcher, "con_sim", binary_con_sim)
+            found[seed, "binary-word-similarity"] = lost(SelectionConfig(), tree)
+        with monkeypatch.context() as patch:
+            patch.setattr(matcher, "_degree", binary_degree)
+            found[seed, "binary-restrictions"] = lost(SelectionConfig(), tree)
+        found[seed, "floor-1"] = lost(SelectionConfig(floor=1), tree)  # no widening
+        found[seed, "no-tree"] = lost(SelectionConfig(), None)
+        every[seed] = [clause_id for clause_id, _, _ in widened]
+    ok = all(
+        len(every[seed]) == 100 and found[seed, name] == (every[seed] if want is ALL else want)
+        for seed, lost_by in GRADED_WORD_SIMILARITY.items()
+        for name, want in lost_by.items()
+    )
+    counts = {
+        name: "/".join(str(100 - len(found[seed, name])) for seed in GRADED_WORD_SIMILARITY)
+        for name in GRADED_WORD_SIMILARITY[0]
+    }
+    report(
+        "graded-word-similarity",
+        ok,
+        ", ".join(f"{name} {count}" for name, count in counts.items()) + " of 100 per store",
     )

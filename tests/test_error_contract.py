@@ -229,6 +229,31 @@ class TestClauseMentions:
             resolve_clause(store, "entity", "break", [(Role.E1, "stick-1")], ["hit", marker])
         assert str(err.value) == f"bad context marker {marker!r}"
 
+    @pytest.mark.parametrize(
+        "item",
+        [("E1",), ("E1", "stick-1", "x"), "E1", (), None, Role.E1, {"E1": "stick-1"}],
+        ids=["one", "three", "str", "empty", "None", "role", "dict"],
+    )
+    def test_a_mention_that_is_not_a_pair(self, store, item):
+        with pytest.raises(LexiconFormatError) as err:
+            resolve_clause(store, "entity", "break", [(Role.E0, "john-1"), item])
+        assert str(err.value) == f"mention must be a (role, mention) pair, got {item!r}"
+
+    @pytest.mark.parametrize(
+        "mentions", [None, 5, "E1", Role.E1], ids=["None", "int", "str", "role"]
+    )
+    def test_mentions_that_are_not_a_collection_of_pairs(self, store, mentions):
+        with pytest.raises(LexiconFormatError) as err:
+            resolve_clause(store, "entity", "break", mentions)
+        assert str(err.value) == (
+            f"mentions must be a collection of (role, mention) pairs, got {mentions!r}"
+        )
+
+    def test_one_pair_not_in_a_collection(self, store):
+        with pytest.raises(LexiconFormatError) as err:
+            resolve_clause(store, "entity", "break", ("E1", "stick-1"))
+        assert str(err.value) == "mention must be a (role, mention) pair, got 'E1'"
+
     @pytest.mark.parametrize("lexeme", [["break"], None, 5])
     def test_a_source_lexeme_that_is_not_a_str(self, store, lexeme):
         with pytest.raises(LexiconFormatError) as err:
@@ -278,7 +303,18 @@ CLAUSE_VALUES = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(
     lexeme=CLAUSE_VALUES,
-    mentions=st.lists(st.tuples(CLAUSE_VALUES, CLAUSE_VALUES), max_size=3),
+    mentions=st.one_of(
+        CLAUSE_VALUES,
+        st.lists(
+            st.one_of(
+                st.tuples(CLAUSE_VALUES, CLAUSE_VALUES),
+                st.tuples(CLAUSE_VALUES),
+                st.tuples(CLAUSE_VALUES, CLAUSE_VALUES, CLAUSE_VALUES),
+                CLAUSE_VALUES,
+            ),
+            max_size=3,
+        ),
+    ),
     markers=st.one_of(CLAUSE_VALUES, st.lists(CLAUSE_VALUES, max_size=3)),
     config=st.sampled_from([SelectionConfig(), None, {}, 0.5, "config"]),
     node=st.sampled_from(["bundled", None, "x", ConceptId("action", "%hit-action"), ()]),
@@ -286,7 +322,8 @@ CLAUSE_VALUES = st.one_of(
 def test_any_clause_gives_a_result_or_a_lexsel_error(
     store, lexicon, tree, lexeme, mentions, markers, config, node
 ):
-    """``(role, mention)`` pairs of any values, with any lexeme, markers, config and tree."""
+    """Mentions of any shape, pairs of any values among them, with any lexeme, markers,
+    config and tree."""
     node = tree if node == "bundled" else node
     try:
         args = resolve_clause(store, "entity", lexeme, mentions, markers)

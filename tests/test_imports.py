@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module, every private name is
-read, and a cold start stays lean."""
+read, every exported name is read outside the tests, and a cold start stays lean."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import lexsel
-from conftest import child_env
+from conftest import LEXBENCH, ROOT, child_env
 
-MODULES = sorted(p for p in Path(lexsel.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(lexsel.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,33 +51,43 @@ def _bound(statement: ast.stmt) -> set[str]:
     }
 
 
+def _reads(source: str) -> tuple[set[str], set[str]]:
+    """The names a module's statements load that they do not bind themselves, and
+    the names it imports or takes as attributes."""
+    loads, elsewhere = set(), set()
+    for statement in ast.parse(source).body:
+        bound = _bound(statement)
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id not in bound:
+                    loads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                elsewhere.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                elsewhere.update(alias.name for alias in node.names)
+    return loads, elsewhere
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level ``_x`` names (dunders aside) that no code in ``sources`` reads.
 
     A name is read where another statement of its module loads it, where any
     module imports it, or where any code takes an attribute of that name.
     """
-    private, loads, elsewhere = [], set(), set()
+    private, loads, elsewhere = [], {}, set()
     for module, source in sources.items():
-        for statement in ast.parse(source).body:
-            bound = _bound(statement)
-            private += [
-                (module, name)
-                for name in sorted(bound)
-                if name.startswith("_") and not name.endswith("__")
-            ]
-            for node in ast.walk(statement):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    if node.id not in bound:
-                        loads.add((module, node.id))
-                elif isinstance(node, ast.Attribute):
-                    elsewhere.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    elsewhere.update(alias.name for alias in node.names)
+        private += [
+            (module, name)
+            for statement in ast.parse(source).body
+            for name in sorted(_bound(statement))
+            if name.startswith("_") and not name.endswith("__")
+        ]
+        loads[module], imported = _reads(source)
+        elsewhere |= imported
     return [
         f"{module}: {name}"
         for module, name in private
-        if (module, name) not in loads and name not in elsewhere
+        if name not in loads[module] and name not in elsewhere
     ]
 
 
@@ -92,6 +104,42 @@ def test_finds_an_unread_private_name():
         "b.py": "from .a import _A\nimport a\n_D, _E = a._B, _A\nprint(_E)\n",
     }
     assert unread_private_names(sources) == ["a.py: _f", "a.py: _C", "b.py: _D"]
+
+
+def unread_exports(exported: list[str], sources: list[str]) -> list[str]:
+    """The names of ``exported`` that no code in ``sources`` reads, as ``_reads`` has it."""
+    read = set()
+    for source in sources:
+        read.update(*_reads(source))
+    return [name for name in exported if name not in read]
+
+
+def test_every_exported_name_is_read_outside_the_tests():
+    """Each name ``lexsel`` exports is read by a package module other than ``__init__``
+    (its own definition aside), by the benchmark, or by a README code block."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources = [
+        *(path.read_text(encoding="utf-8") for path in MODULES),
+        *(path.read_text(encoding="utf-8") for path in LEXBENCH.glob("*.py")),
+        *re.findall(r"```python\n(.*?)```", readme, re.S),
+    ]
+    assert len(exported) > 50
+    assert unread_exports(exported, sources) == []
+
+
+def test_finds_an_unread_export():
+    sources = [
+        "def f():\n    return f()\nclass C:\n    x: 'D'\n",
+        "from a import g\nimport a\nprint(a.h, E)\n",
+    ]
+    assert unread_exports(["f", "C", "D", "g", "h", "E"], sources) == ["f", "C", "D"]
 
 
 # each adds milliseconds to a cold start: ``dataclasses`` pulls in ``inspect`` (and

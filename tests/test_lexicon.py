@@ -57,17 +57,17 @@ class TestBundledLexicon:
 
     def test_realization_index(self, lexicon):
         duan = ConceptId("ch-of-state", "%separate-in-duan-state")
-        got = list(lexicon.realization_ids(duan))
+        got = list(lexicon.realizations.get(duan, ()))
         assert got == ["da-duan", "duan-cheng", "duan-la", "gua-duan", "zhe-duan"]
 
     def test_unrealized_concept_has_no_entries(self, lexicon):
         integrity = ConceptId("ch-of-state", "%change-of-integrity")
-        assert lexicon.realization_ids(integrity) == ()
+        assert lexicon.realizations.get(integrity, ()) == ()
 
     def test_source_senses_are_excluded_from_the_index(self, lexicon):
         # SNAP-1 projects onto the duan concept but is a source sense
         duan = ConceptId("ch-of-state", "%separate-in-duan-state")
-        assert "SNAP-1" not in lexicon.realization_ids(duan)
+        assert "SNAP-1" not in lexicon.realizations.get(duan, ())
 
     def test_index_holds_the_obl_concepts_of_the_target_senses(self, store, lexicon):
         raw = json.loads(bundled_text(LEXICON_FILE))["senses"]
@@ -84,7 +84,7 @@ class TestBundledLexicon:
                         for slot in s["projection"]
                     )
                 )
-                got = lexicon.realization_ids(ConceptId(name, concept))
+                got = lexicon.realizations.get(ConceptId(name, concept), ())
                 assert got == tuple(expected), (name, concept)
 
     def test_source_senses_keep_document_order(self, lexicon):

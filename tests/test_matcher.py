@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import args_for, bundled_clauses
+from conftest import args_for, bundled_clauses, matched_slots
 from lexsel import (
     ConceptId,
     DomainWeights,
@@ -24,7 +24,6 @@ from lexsel import (
     SlotStatus,
     VerbSense,
     build_inter_rep,
-    candidate_slots,
     con_sim,
     constraint_degrees,
     constraint_satisfaction,
@@ -243,6 +242,12 @@ class TestConstraints:
         assert constraint_satisfaction(degrees) == 1
 
 
+def matched(inter_rep, candidate, store) -> list[str]:
+    """The domains of ``candidate`` that its score read, from the score's parts."""
+    [(_, domains, _)] = inexact_match(inter_rep, [candidate], args_for(store), UNIFORM, store)
+    return [part.domain for part in domains if part.right is not None]
+
+
 class TestCandidateSlots:
     def test_optional_slot_needs_realized_domain(self, lexicon, store):
         rep_plain = build_inter_rep(
@@ -252,19 +257,16 @@ class TestCandidateSlots:
             lexicon.senses["BREAK-1"], args_for(store, e0="john-1", e1="branch-1")
         )
         candidate = lexicon.senses["zhe-duan"]  # OBL duan + OPT causation + IMP action
-        assert list(candidate_slots(rep_plain, candidate)) == ["ch-of-state"]
-        assert list(candidate_slots(rep_caused, candidate)) == [
-            "ch-of-state",
-            "causation",
-        ]
+        assert matched(rep_plain, candidate, store) == ["ch-of-state"]
+        assert matched(rep_caused, candidate, store) == ["causation", "ch-of-state"]
 
     def test_implicit_slots_never_count(self, lexicon, store):
         rep = build_inter_rep(
             lexicon.senses["BREAK-1"], args_for(store, e0="john-1", e1="vase-1")
         )
         candidate = lexicon.senses["da-sui"]
-        domains = list(candidate_slots(rep, candidate))
-        assert "action" not in domains
+        assert "action" in candidate.projection
+        assert "action" not in matched(rep, candidate, store)
 
 
 class TestMatchScore:
@@ -332,7 +334,7 @@ class TestBatchScoring:
         assert len(batch) == len(candidates)
         for candidate, (score, domains, degrees) in zip(candidates, batch):
             concept, alone = word_sim_breakdown(
-                rep.slots, candidate_slots(rep, candidate), UNIFORM, store
+                rep.slots, matched_slots(rep, candidate), UNIFORM, store
             )
             assert (domains, degrees) == (alone, constraint_degrees(candidate, args, store))
             assert score == MatchScore(concept, constraint_satisfaction(degrees))
@@ -378,7 +380,7 @@ class TestBatchScoring:
         for t in translations:
             senses = [lexicon.senses[r.sense_id] for r in t.ranking]
             candidates += len(senses)
-            slot_keys += len({tuple(candidate_slots(t.inter_rep, s).items()) for s in senses})
+            slot_keys += len({tuple(matched_slots(t.inter_rep, s).items()) for s in senses})
             constraint_keys += len({s.constraints for s in senses})
         assert (concept.call_count, fit.call_count) == (slot_keys, constraint_keys)
         assert (len(translations), candidates, slot_keys, constraint_keys) == (162, 1104, 322, 789)
@@ -464,7 +466,7 @@ class TestArithmeticOracle:
             st.lists(st.tuples(st.sampled_from(meanings), st.sampled_from(senses)), max_size=6)
         )
         for (inter_rep, args), sense in pairs:
-            left, right = inter_rep.slots, candidate_slots(inter_rep, sense)
+            left, right = inter_rep.slots, matched_slots(inter_rep, sense)
             union = sorted(left.keys() | right.keys())
             total = sum((Fraction(weights.weight(d)) for d in union), Fraction(0))
             if union and total == 0:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import args_for, bundled_clauses
+from conftest import args_for, bundled_clauses, matched_slots
 from lexsel import (
     ArgumentStructure,
     ConceptId,
@@ -19,7 +19,6 @@ from lexsel import (
     SelectionConfig,
     VocabularyGapError,
     build_inter_rep,
-    candidate_slots,
     constraint_degrees,
     decide_action,
     disambiguate,
@@ -289,7 +288,7 @@ class TestScoreRecord:
             clauses += 1
             for r in t.ranking:
                 sense = lexicon.senses[r.sense_id]
-                slots = candidate_slots(t.inter_rep, sense)
+                slots = matched_slots(t.inter_rep, sense)
                 _, domains = word_sim_breakdown(t.inter_rep.slots, slots, config.weights, store)
                 assert r.domains == domains
                 assert r.constraints == constraint_degrees(sense, args, store)
