@@ -220,7 +220,6 @@ def _parse_slot(raw: dict, store: TaxonomyStore, sense_id: str) -> ProjectionSlo
             raise _error(sense_id, "slot concept must be a string")
         if cname not in dom.nodes:
             raise _error(sense_id, f"domain {domain!r} has no concept {cname!r}")
-        dom.ancestors(cname)  # filled now, so that no clause pays for the walk
         concept = ConceptId(domain, cname)
     elif status is not _IMP:
         raise _error(sense_id, f"{status.value} slot in domain {domain!r} must name a concept")
@@ -237,10 +236,8 @@ def _parse_slot(raw: dict, store: TaxonomyStore, sense_id: str) -> ProjectionSlo
 def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
     """Parse and validate a lexicon document against a taxonomy store.
 
-    Error locations are formatted only when raising.  On success, the
-    ancestor maps of every nominal concept (where mentions and constraints
-    resolve) and of every slot concept are filled, so that translating a
-    clause does not pay for them.
+    Error locations are formatted only when raising.  No ancestor map is
+    filled: a clause fills the maps it reads on first use.
     """
     doc = parse_json(text, LexiconFormatError, "lexicon document")
     if not isinstance(doc, dict):
@@ -308,10 +305,6 @@ def load_lexicon(text: str, store: TaxonomyStore) -> Lexicon:
         else:
             for concept in obl:
                 by_concept.setdefault(concept, []).append(sense_id)
-    # fill the ancestor maps clauses read, so that no clause pays for a walk
-    nominal_dom = store.domains[nominal]
-    for name in nominal_nodes:  # where every mention and constraint resolves
-        nominal_dom.ancestors(name)
     source_by_lexeme = {lexeme: tuple(found) for lexeme, found in by_lexeme.items()}
     realizations = {c: tuple(sorted(ids)) for c, ids in by_concept.items()}
     return Lexicon(nominal, senses, source_by_lexeme, realizations)

@@ -333,10 +333,11 @@ def _lcs(
 ) -> tuple[int, int, str]:
     """``(n1 + n2, n3, name)`` of the least common superconcept of c1 and c2.
 
-    Deepest first, then fewest edges, then smallest name: c2 when it subsumes
-    c1, otherwise found by one walk over the smaller ancestor map.  Each
-    domain keeps the first _LCS_MEMO_CAP pairs it answers; ``mismatch``
-    formats a cross-domain error."""
+    Deepest first, then fewest edges, then smallest name: c1 itself when the
+    two are one concept (no map is read), c2 when it subsumes c1, otherwise
+    found by one walk over the smaller ancestor map.  Each domain keeps the
+    first _LCS_MEMO_CAP pairs it answers; ``mismatch`` formats a cross-domain
+    error."""
     if c1.domain != c2.domain:
         raise CrossDomainError(mismatch.format(c1, c2))
     dom = store.domain(c1.domain)
@@ -346,25 +347,28 @@ def _lcs(
         return found
     depth = dom.depth
     dom.require(c1.name)  # c1's error first, and a failing pair fills no map
-    up2, up1 = dom.ancestors(c2.name), dom.ancestors(c1.name)
-    edges = up1.get(c2.name)
-    if edges is not None:  # every other ancestor of c2 is shallower
-        found = edges, depth[c2.name], c2.name
+    if c1.name == c2.name:
+        found = 0, depth[c2.name], c2.name
     else:
-        if len(up2) < len(up1):
-            up1, up2 = up2, up1
-        best, best_depth, best_edges = "", 0, 0
-        for name, edges in up1.items():
-            other = up2.get(name)
-            if other is not None:  # the root is shared, so a best is always found
-                d = depth[name]
-                if d >= best_depth:
-                    edges += other
-                    if d > best_depth or edges < best_edges or (
-                        edges == best_edges and name < best
-                    ):
-                        best, best_depth, best_edges = name, d, edges
-        found = best_edges, best_depth, best
+        up2, up1 = dom.ancestors(c2.name), dom.ancestors(c1.name)
+        edges = up1.get(c2.name)
+        if edges is not None:  # every other ancestor of c2 is shallower
+            found = edges, depth[c2.name], c2.name
+        else:
+            if len(up2) < len(up1):
+                up1, up2 = up2, up1
+            best, best_depth, best_edges = "", 0, 0
+            for name, edges in up1.items():
+                other = up2.get(name)
+                if other is not None:  # the root is shared, so a best is always found
+                    d = depth[name]
+                    if d >= best_depth:
+                        edges += other
+                        if d > best_depth or edges < best_edges or (
+                            edges == best_edges and name < best
+                        ):
+                            best, best_depth, best_edges = name, d, edges
+            found = best_edges, best_depth, best
     if len(memo) < _LCS_MEMO_CAP:
         memo[key] = found
     return found
@@ -382,7 +386,7 @@ def least_common_superconcept(store: TaxonomyStore, c1: ConceptId, c2: ConceptId
     Ties on depth are broken by minimal n1+n2, then by concept name.
     """
     edges, depth, lcs = _lcs(store, c1, c2)
-    n1 = store.domains[c1.domain].ancestors(c1.name)[lcs]
+    n1 = 0 if lcs == c1.name else store.domains[c1.domain].ancestors(c1.name)[lcs]
     return PathMetrics(n1, edges - n1, depth, ConceptId(c1.domain, lcs))
 
 

@@ -2,28 +2,42 @@
 
 import gc
 import json
+from fractions import Fraction
 
 import pytest
 
 from conftest import args_for
+from dag_oracle import as_taxonomy_doc
 from lexsel import (
     ArgumentStructure,
     ConceptId,
     LexiconFormatError,
     LexselError,
     Role,
+    SelectionConfig,
     SlotStatus,
     UnboundRoleError,
     UnknownConceptError,
     UnknownLexemeError,
     build_inter_rep,
     disambiguate,
+    load_corpus,
     load_lexicon,
     load_taxonomy,
     merge_stores,
     resolve_clause,
+    to_argument_structure,
+    translate,
 )
-from lexsel.bundled import LEXICON_FILE, TAXONOMY_FILES, bundled_text, load_bundled_store
+from lexsel.bundled import (
+    CORPUS_FILE,
+    LEXICON_FILE,
+    TAXONOMY_FILES,
+    bundled_text,
+    load_bundled_lexicon,
+    load_bundled_store,
+    load_bundled_tree,
+)
 
 
 class TestBundledLexicon:
@@ -383,22 +397,71 @@ class TestLoaderValidation:
             self.load_one(store, constraints=constraints)
 
 
-class TestLoaderSideEffects:
-    def test_lexicon_load_fills_every_reachable_concepts_ancestor_map(self):
-        store = merge_stores(load_taxonomy(bundled_text(name)) for name in TAXONOMY_FILES)
-        assert all(len(dom._up) == 0 for dom in store.domains.values())
-        lexicon = load_lexicon(bundled_text(LEXICON_FILE), store)
-        nominal = store.domains[lexicon.nominal_domain]
-        assert set(nominal._up) == set(nominal.nodes)  # mentions and constraints
-        slots = {
-            slot.concept
-            for s in lexicon.senses.values()
-            for slot in s.projection.values()
-            if slot.concept is not None
+def filled_maps(store) -> set[tuple[str, str]]:
+    return {(name, concept) for name, dom in store.domains.items() for concept in dom._up}
+
+
+def chain_documents(length: int) -> tuple[str, str]:
+    """A nominal domain ``c0 <- c1 <- ... <- c{length-1}``, with a ``twig`` under its
+    middle link, and a lexicon whose senses constrain E1 to ``c1`` or to ``twig``."""
+    chain = {"c0": (), "twig": (f"c{length // 2}",)}
+    chain.update({f"c{i}": (f"c{i - 1}",) for i in range(1, length)})
+
+    def sense(sense_id: str, language: str, constraint: str) -> dict:
+        return {
+            "sense_id": sense_id, "lexeme": "v" if language == "source" else sense_id,
+            "language": language, "gloss": sense_id,
+            "constraints": [{"role": "E1", "concept": constraint}],
+            "projection": [{"domain": "ch-of-state", "status": "OBL",
+                            "concept": "%change-of-integrity", "args": ["E1"]}],
         }
-        assert slots
-        for concept in slots:
-            assert concept.name in store.domains[concept.domain]._up, concept  # no lookup
+
+    senses = [sense("S-1", "source", "c1"), sense("T-1", "target", "c1"),
+              sense("T-2", "target", "twig")]
+    lexicon = {"nominal_domain": "chain", "senses": senses}
+    return json.dumps(as_taxonomy_doc(chain, "chain")), json.dumps(lexicon)
+
+
+class TestLoaderSideEffects:
+    def test_each_gold_clause_fills_only_the_maps_it_reads(self):
+        store = load_bundled_store()
+        lexicon = load_bundled_lexicon(store)
+        load_bundled_tree(store, lexicon.nominal_domain)
+        assert filled_maps(store) == set()
+        senses = lexicon.senses.values()
+        slots = {slot.concept for sense in senses for slot in sense.projection.values()}
+        constraints = {c.concept for sense in senses for c in sense.constraints}
+        counts = []
+        for record in load_corpus(bundled_text(CORPUS_FILE)).records:
+            store = load_bundled_store()
+            lexicon = load_bundled_lexicon(store)
+            args = to_argument_structure(record, store, lexicon.nominal_domain)
+            translate(lexicon, store, args, SelectionConfig(),
+                      load_bundled_tree(store, lexicon.nominal_domain))
+            mentions = {binding.concept for binding in args.bindings.values()}
+            filled = filled_maps(store)
+            assert filled <= slots | constraints | mentions, record
+            counts.append(len(filled))
+        assert counts == [9, 12, 9, 9, 12, 2, 3, 7, 9, 12, 5, 4]
+
+    def test_deep_nominal_chain_loads_without_a_walk(self):
+        # the shallower chain first, so that a loader filling every map stops there,
+        # before the deeper one would need ~2 * 10**8 map entries
+        for length in (2000, 20_000):
+            taxonomy_text, lexicon_text = chain_documents(length)
+            store = merge_stores([load_bundled_store(), load_taxonomy(taxonomy_text)])
+            lexicon = load_lexicon(lexicon_text, store)
+            chain = store.domains["chain"]
+            assert len(chain._up) == 0
+            leaf = f"c{length - 1}"
+            got = translate(lexicon, store, resolve_clause(store, "chain", "v", [("E1", leaf)]))
+            assert [r.sense_id for r in got.ranking] == ["T-1", "T-2"]
+            # leaf and twig meet at c{length // 2}: n3 = length // 2 + 1, n1 + n2 = length // 2
+            assert [r.constraints[0].degree for r in got.ranking] == [
+                1,
+                Fraction(2 * (length + 2), 3 * length + 4),
+            ]
+            assert set(chain._up) == {leaf, "c1", "twig"}
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("valid", [True, False])

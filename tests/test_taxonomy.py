@@ -193,6 +193,16 @@ class TestBuild:
         assert dom.ancestors("C") is first
         assert list(dom._up) == ["C"]
 
+    def test_a_concept_paired_with_itself_fills_no_map(self):
+        store = dag_store(SMALL)
+        c = small_id("C")
+        got = least_common_superconcept(store, c, c)
+        assert (got.lcs, got.n1, got.n2, got.n3) == (c, 0, 0, 3)
+        assert con_sim(store, c, c) == 1
+        assert [d.degree for d in degrees_against(store, c, [c])] == [1]
+        dom = store.domain("synthetic")
+        assert len(dom._up) == 0 and list(dom._lcs) == [("C", "C")]
+
     def test_unknown_name_raises_and_stores_nothing(self):
         store = dag_store(SMALL)
         dom = store.domain("synthetic")
